@@ -46,12 +46,23 @@ class ReleaseMonitor:
         self.consecutive_required = consecutive_required
         self._hidden = net.hidden
         self._features = net.input_size
-        # Split the fused LSTM matrix once; ring caches bias + input projections.
-        self._bias = net.W_lstm[0]
-        self._W_x = net.W_lstm[1 : 1 + self._features]
-        self._W_h = net.W_lstm[1 + self._features :]
-        self._proj = np.zeros((window, 4 * self._hidden))
+        # Split the fused LSTM matrix once and cast every weight to the float64
+        # state, so no step upcasts float32 weights; the ring caches bias + input
+        # projections, and the recurrence writes into preallocated buffers.
+        H = self._hidden
+        W = net.W_lstm.astype(np.float64, copy=False)
+        self._bias = W[0]
+        self._W_x = W[1 : 1 + self._features]
+        self._W_h = W[1 + self._features :]
+        self._head = tuple(
+            a.astype(np.float64, copy=False)
+            for a in (net.W1, net.b1, net.W2, net.b2, net.W3, net.b3)
+        )
+        self._proj = np.zeros((window, 4 * H))
         self._raw = np.zeros((window, self._features))
+        self._A = np.empty(4 * H)
+        self._h = np.empty(H)
+        self._gc = np.empty(2 * H)
         self._count = 0
         self._pos = 0
         self._streak = 0
@@ -69,11 +80,6 @@ class ReleaseMonitor:
         self._pos = (self._pos + 1) % self.window
         self._count += 1
 
-    def _ordered_proj(self) -> np.ndarray:
-        if self._count < self.window or self._pos == 0:
-            return self._proj
-        return np.concatenate([self._proj[self._pos :], self._proj[: self._pos]])
-
     def window_contents(self) -> np.ndarray:
         """Current window, oldest row first (only valid when full)."""
         if self._pos == 0 or self._count < self.window:
@@ -83,17 +89,33 @@ class ReleaseMonitor:
     def infer(self) -> float:
         """Open-class score for the current buffer (requires a full window)."""
         H = self._hidden
-        h = np.zeros(H)
-        c = np.zeros(H)
-        for row in self._ordered_proj():
-            A = row + h @ self._W_h
-            g = np.tanh(A[:H])
-            ifo = _sigmoid(A[H:])
-            c = ifo[:H] * g + ifo[H : 2 * H] * c
-            h = ifo[2 * H :] * np.tanh(c)
-        a1 = np.maximum(h @ self.net.W1 + self.net.b1, 0.0)
-        a2 = np.maximum(a1 @ self.net.W2 + self.net.b2, 0.0)
-        prob = float(_sigmoid(a2 @ self.net.W3 + self.net.b3)[1])
+        # Each step is the textbook cell (A = row + h W_h, g = tanh,
+        # i/f/o = sigmoid, c = i*g + f*c, h = o*tanh(c)) computed in place with
+        # the same float operations in the same order, so the score is
+        # bit-identical to the allocating form. g sits just before c in one
+        # buffer, so a single multiply by the adjacent [i | f] gates forms
+        # both i*g and f*c.
+        A, gc, h, W_h = self._A, self._gc, self._h, self._W_h
+        g, c = gc[:H], gc[H:]
+        a_g, a_ifo, a_if, a_o = A[:H], A[H:], A[H : 3 * H], A[3 * H :]
+        h.fill(0.0)
+        c.fill(0.0)
+        # Oldest row first: a full ring starts at the write position.
+        start = self._pos if self._count >= self.window else 0
+        for rows in (self._proj[start:], self._proj[:start]):
+            for row in rows:
+                h.dot(W_h, out=A)
+                np.add(row, A, out=A)
+                np.tanh(a_g, out=g)
+                _sigmoid(a_ifo, out=a_ifo)
+                np.multiply(a_if, gc, out=gc)
+                np.add(g, c, out=c)
+                np.tanh(c, out=h)
+                np.multiply(a_o, h, out=h)
+        W1, b1, W2, b2, W3, b3 = self._head
+        a1 = np.maximum(h @ W1 + b1, 0.0)
+        a2 = np.maximum(a1 @ W2 + b2, 0.0)
+        prob = float(_sigmoid(a2 @ W3 + b3)[1])
         self.last_probability = prob
         return prob
 
@@ -112,10 +134,6 @@ class ReleaseMonitor:
             self._released = True
             return RELEASE
         return HOLD
-
-    def push_and_infer(self, reading: np.ndarray) -> str:
-        """Append one reading and return the debounced decision."""
-        return self.step(reading, infer=True)
 
 
 class ThresholdReleaseMonitor:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from handover_sim.detector import (
     HOLD,
     RELEASE,
     LoadCurveParams,
+    NetworkParams,
     ReleaseMonitor,
     ThresholdReleaseMonitor,
     generate_handover_sequence,
@@ -25,9 +29,9 @@ def test_monitor_holds_until_window_full():
     mon = small_monitor(window=20)
     rng = np.random.default_rng(0)
     for k in range(19):
-        assert mon.push_and_infer(rng.normal(size=6)) == HOLD
+        assert mon.step(rng.normal(size=6)) == HOLD
         assert mon.last_probability == 0.0  # no inference before the window fills
-    mon.push_and_infer(rng.normal(size=6))  # 20th push runs the first inference
+    mon.step(rng.normal(size=6))  # 20th push runs the first inference
     assert mon.last_probability != 0.0
 
 
@@ -52,7 +56,7 @@ def test_monitor_pure_function_of_window_contents():
         a.push(row)
     for row in rows:  # extra churn first, same last 10 rows
         b.push(row)
-    assert abs(a.infer() - b.infer()) < 1e-15
+    assert a.infer() == b.infer()
 
 
 def test_monitor_matches_direct_forward():
@@ -64,11 +68,108 @@ def test_monitor_matches_direct_forward():
     assert abs(mon.infer() - direct[1]) < 1e-12
 
 
+def reference_infer(net: NetworkParams, readings: np.ndarray, window: int) -> float:
+    """Oracle: the allocating per-step loop over the monitor's ring.
+
+    Rows are projected one at a time with the weights' own dtype against a
+    float64 state, oldest first; a window that is not yet full runs its pushed
+    rows followed by zero rows, as the ring holds them.
+    """
+    H, F = net.hidden, net.input_size
+    bias, W_x, W_h = net.W_lstm[0], net.W_lstm[1 : 1 + F], net.W_lstm[1 + F :]
+    proj = np.zeros((window, 4 * H))
+    for k, reading in enumerate(readings[-window:]):
+        proj[k] = bias + np.asarray(reading, dtype=float) @ W_x
+    h = np.zeros(H)
+    c = np.zeros(H)
+    for row in proj:
+        A = row + h @ W_h
+        g = np.tanh(A[:H])
+        ifo = expit(A[H:])
+        c = ifo[:H] * g + ifo[H : 2 * H] * c
+        h = ifo[2 * H :] * np.tanh(c)
+    a1 = np.maximum(h @ net.W1 + net.b1, 0.0)
+    a2 = np.maximum(a1 @ net.W2 + net.b2, 0.0)
+    return float(expit(a2 @ net.W3 + net.b3)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    hidden=st.integers(1, 6),
+    window=st.integers(1, 12),
+    pushes=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(dtype=np.float32, hidden=4, window=5, pushes=10, seed=0)  # full ring, _pos == 0
+@example(dtype=np.float64, hidden=3, window=8, pushes=3, seed=1)  # window not yet full
+@example(dtype=np.float32, hidden=6, window=12, pushes=29, seed=2)  # wrapped ring
+def test_monitor_infer_equals_reference_loop(dtype, hidden, window, pushes, seed):
+    net = init_network(hidden=hidden, dense1=5, dense2=3, seed=seed, dtype=dtype)
+    readings = np.random.default_rng(seed).normal(scale=3.0, size=(pushes, 6))
+    mon = ReleaseMonitor(net, window=window)
+    for reading in readings:
+        mon.push(reading)
+    expected = reference_infer(net, readings, window)
+    assert mon.infer() == expected
+    assert mon.infer() == expected  # state buffers start afresh on every call
+
+
+def test_monitors_sharing_weights_are_independent():
+    net = init_network(hidden=5, dense1=8, dense2=4, seed=6, dtype=np.float32)
+    rng = np.random.default_rng(6)
+    streams = rng.normal(scale=3.0, size=(2, 30, 6))
+
+    def probs(mon, rows):
+        out = []
+        for row in rows:
+            mon.step(row)
+            out.append(mon.last_probability)
+        return out
+
+    alone = [probs(ReleaseMonitor(net, window=7), rows) for rows in streams]
+    a, b = ReleaseMonitor(net, window=7), ReleaseMonitor(net, window=7)
+    interleaved = ([], [])
+    for ra, rb in zip(*streams):
+        interleaved[0].extend(probs(a, [ra]))
+        interleaved[1].extend(probs(b, [rb]))
+    assert interleaved == tuple(alone)
+    assert len(set(alone[0][6:])) > 1  # inferences ran and moved
+
+
+# float.hex of the first 20 scores of a default-size monitor (window 500,
+# hidden 64, float32 weights), one inference after every 10th push of a
+# synthetic handover trace, as computed by the allocating per-step loop.
+GOLDEN_DEFAULT_SCORES = [
+    "0x1.012e8884fc48ap-1", "0x1.012fd0de1da6ap-1", "0x1.0130b9a3943f4p-1",
+    "0x1.01327f99a73dap-1", "0x1.0131ddb37765fp-1", "0x1.012ddce3a5fe7p-1",
+    "0x1.012f3a6b220a6p-1", "0x1.01349b96841c6p-1", "0x1.012d589277f1cp-1",
+    "0x1.012dda136c757p-1", "0x1.012bf73b6c59fp-1", "0x1.0131489e47d40p-1",
+    "0x1.01302147a4f7ep-1", "0x1.0138e101459c1p-1", "0x1.0136dc8c93c46p-1",
+    "0x1.0132184f73e12p-1", "0x1.0131215ca70fcp-1", "0x1.012fefadfa81bp-1",
+    "0x1.01299579d6126p-1", "0x1.012c76300cabdp-1",
+]
+
+
+def test_default_monitor_scores_pinned():
+    net = init_network(seed=11, dtype=np.float32)
+    seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
+    mon = ReleaseMonitor(net)
+    scores = []
+    for k, reading in enumerate(seq.wrench):
+        mon.push(reading)
+        if (k + 1) % 10 == 0 and len(mon) == mon.window:
+            scores.append(mon.infer().hex())
+            if len(scores) == len(GOLDEN_DEFAULT_SCORES):
+                break
+    assert scores == GOLDEN_DEFAULT_SCORES
+
+
 def test_monitor_debounce_and_absorbing():
     mon = small_monitor(window=5, consecutive=3)
     mon.threshold_prob = 1e-12  # every inference is a positive
     rng = np.random.default_rng(4)
-    decisions = [mon.push_and_infer(rng.normal(size=6)) for _ in range(12)]
+    decisions = [mon.step(rng.normal(size=6)) for _ in range(12)]
     # 5 warm-up holds, then 2 more positives needed before release
     assert decisions[:6] == [HOLD] * 6
     assert decisions[6] == RELEASE
@@ -81,13 +182,13 @@ def test_monitor_streak_resets():
     for _ in range(5):
         mon.push(rng.normal(size=6))
     mon.threshold_prob = 1e-12
-    assert mon.push_and_infer(rng.normal(size=6)) == HOLD
+    assert mon.step(rng.normal(size=6)) == HOLD
     mon.threshold_prob = 1.0 - 1e-12  # breaks the streak
-    assert mon.push_and_infer(rng.normal(size=6)) == HOLD
+    assert mon.step(rng.normal(size=6)) == HOLD
     mon.threshold_prob = 1e-12
-    assert mon.push_and_infer(rng.normal(size=6)) == HOLD
-    assert mon.push_and_infer(rng.normal(size=6)) == HOLD
-    assert mon.push_and_infer(rng.normal(size=6)) == RELEASE
+    assert mon.step(rng.normal(size=6)) == HOLD
+    assert mon.step(rng.normal(size=6)) == HOLD
+    assert mon.step(rng.normal(size=6)) == RELEASE
 
 
 def test_monitor_validation():
