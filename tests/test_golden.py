@@ -1,0 +1,84 @@
+"""Golden sha256 digests of the deterministic CSV outputs.
+
+The digests were recorded from the engine before any of the refactors that
+promise byte-identical logs; a change to the arithmetic or to the order of
+floating-point operations anywhere in the control cycle moves them. The
+network arm runs the committed benchmark weights, whose own digest is
+checked first.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from handover_sim.cli import EXIT_OK, main
+from handover_sim.detector import load_weights
+from handover_sim.harness import (
+    ARMS,
+    evaluate_batch,
+    make_batch_scenarios,
+    run_handover,
+    write_batch_csvs,
+    write_episode_csv,
+)
+
+from test_acceptance import acceptance_scenario
+
+WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz"
+WEIGHTS_SHA256 = "b91b88b017eb3858984a59ad7cb4f5b44fb88f674691473f76680c2571b31ac9"
+
+CRITERION_9_EPISODE = "cfaf4d65f7f8f756d51472a61f1915d05b4a0ca9117f7211a7b017e1c408e4bd"
+
+# (criterion-8 scenario index, arm) -> episode.csv digest, with its outcome
+CRITERION_8_EPISODES = {
+    (0, "proposed"): "aff2f0d6408b9851143ed1723245a898fddb5dc651ac30136ab628231c080cf5",  # success
+    (0, "baseline"): "6bdc296dbc96cc229644df22a44f22cb9d0e21b69a95ba2af614e6cd8d97158c",  # premature_drop
+    (5, "proposed"): "319d2f309925f6b080fff7b44281c966f2edd60e92709b22fa6bbec43dbc3d3a",  # success
+    (5, "baseline"): "9fac987eed0f3174fb225c0ca9ed57c2d850b3188df6ffaf9678d9b107dff6a1",  # success
+    (55, "proposed"): "e7922dd5a26842cf99b0735be3b76822393926383b9f273403105bb54645cc20",  # premature_drop
+    (55, "baseline"): "20142ade1761d7f5908be3ebfc99f88c9e38cd57a558598c39c927c5dd55207f",  # success
+}
+
+# evaluate_batch over criterion-8 scenarios 0 and 1, both arms
+BATCH_EPISODES = "d9e18f5c0a609d1f7d6122725317126f454446c41720a6d6d06d16c74b0c37ac"
+BATCH_SUMMARY = "e9852931cac2d8bea711727cdf4448c543a1480ec3c46c739d8cb4af1e8dd172"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def network():
+    assert sha256(WEIGHTS) == WEIGHTS_SHA256
+    return load_weights(WEIGHTS)[0]
+
+
+@pytest.fixture(scope="module")
+def criterion_8_scenarios():
+    return make_batch_scenarios(acceptance_scenario(), 60, seed=77, disturbed=True)
+
+
+def test_criterion_9_episode_digest(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(acceptance_scenario(seed=13).to_dict()))
+    assert main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == EXIT_OK
+    assert sha256(tmp_path / "episode.csv") == CRITERION_9_EPISODE
+
+
+@pytest.mark.parametrize("index, arm", sorted(CRITERION_8_EPISODES))
+def test_criterion_8_episode_digest(index, arm, network, criterion_8_scenarios, tmp_path):
+    controller, release = ARMS[arm]
+    scenario = replace(criterion_8_scenarios[index], controller=controller, release=release)
+    write_episode_csv(run_handover(scenario, network=network), tmp_path / "episode.csv")
+    assert sha256(tmp_path / "episode.csv") == CRITERION_8_EPISODES[index, arm]
+
+
+def test_batch_csv_digests(network, criterion_8_scenarios, tmp_path):
+    batch = evaluate_batch(criterion_8_scenarios[:2], network=network)
+    write_batch_csvs(batch, tmp_path / "episodes.csv", tmp_path / "summary.csv")
+    assert sha256(tmp_path / "episodes.csv") == BATCH_EPISODES
+    assert sha256(tmp_path / "summary.csv") == BATCH_SUMMARY
