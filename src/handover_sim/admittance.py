@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import ManipulatorModel, Pose, damped_pinv, jacobian
+from .kinematics import Pose
 
 __all__ = [
     "AdmittanceParams",
@@ -24,7 +24,6 @@ __all__ = [
     "pose_error",
     "admittance_accel",
     "integrate_velocity",
-    "cartesian_to_joint",
     "transform_wrench",
     "rotation_log",
 ]
@@ -60,11 +59,6 @@ class Wrench:
     @staticmethod
     def zero() -> "Wrench":
         return Wrench(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def from_array(values: np.ndarray) -> "Wrench":
-        values = np.asarray(values, dtype=float).reshape(6)
-        return Wrench(values[:3], values[3:])
 
     @staticmethod
     def unchecked(values: np.ndarray) -> "Wrench":
@@ -167,17 +161,6 @@ def integrate_velocity(x_ddot_adm: np.ndarray, x_dot_current: np.ndarray, T_r: f
     if T_r <= 0.0:
         raise ValueError("T_r must be positive")
     return np.asarray(x_dot_current, dtype=float) + np.asarray(x_ddot_adm, dtype=float) * T_r
-
-
-def cartesian_to_joint(
-    model: ManipulatorModel,
-    q: np.ndarray,
-    x_dot_adm: np.ndarray,
-    lam: float = 1e-3,
-) -> np.ndarray:
-    """Map a Cartesian velocity command to joint rates via the damped inverse."""
-    J = jacobian(model, q)
-    return damped_pinv(J, lam) @ np.asarray(x_dot_adm, dtype=float)
 
 
 def transform_wrench(tool_rotation: np.ndarray, raw: Wrench, force_weight: float = 1.0) -> Wrench:

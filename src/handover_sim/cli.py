@@ -67,7 +67,10 @@ def _scenario_from_args(args) -> Scenario:
     if getattr(args, "controller", None):
         data["controller"] = args.controller
     apply_overrides(data, args.override)
-    return Scenario.from_dict(data)
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(Scenario)})
+    if unknown:
+        raise UsageError(f"unknown scenario field(s): {', '.join(unknown)}")
+    return Scenario(**data)
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -112,6 +115,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0.0 < args.val_fraction < 1.0:
+        raise UsageError("--val-fraction must lie in (0, 1)")
     out = _out_dir(args)
     dataset_dir = Path(args.dataset)
     files = sorted(dataset_dir.glob("seq_*.csv"))
@@ -138,7 +143,7 @@ def cmd_train(args) -> int:
     else:
         params = init_network(hidden=args.hidden, seed=cfg.seed)
     start = time.perf_counter()
-    params, history = train(params, train_set, val_set, cfg)
+    params, history = train(params, train_set, None, cfg)
     elapsed = time.perf_counter() - start
 
     final_loss = history[-1]["train_loss"]

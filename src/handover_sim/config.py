@@ -1,30 +1,24 @@
 """Default parameter sets and configuration plumbing.
 
 The default arm is a 6-DoF UR10e-class manipulator described by standard DH
-rows; all limits, safety constants, and admittance gains live here so that
-scenario files and --override flags can adjust any of them.
+rows. Safety constants and admittance gains default in SafetyParams and
+AdmittanceParams; scenario files and --override flags can adjust any of them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from .admittance import AdmittanceParams
 from .kinematics import ManipulatorModel
-from .safety import SafetyParams
 
 __all__ = [
     "default_manipulator",
-    "default_safety",
-    "default_admittance",
     "DEFAULT_PD_GAINS",
     "apply_overrides",
     "load_json",
-    "dump_json",
 ]
 
 # Standard DH rows (a, alpha, d, theta offset) approximating a UR10e-class arm.
@@ -55,14 +49,6 @@ def default_manipulator(payload_mass: float = 1.0) -> ManipulatorModel:
         link_masses=np.asarray(_UR10E_LINK_MASSES),
         payload_mass=payload_mass,
     )
-
-
-def default_safety(**overrides: Any) -> SafetyParams:
-    return SafetyParams(**overrides)
-
-
-def default_admittance(**overrides: Any) -> AdmittanceParams:
-    return AdmittanceParams.diagonal(**overrides)
 
 
 # kd is kept well below 1: with a velocity-resolved plant the damping term
@@ -98,9 +84,3 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 def load_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def dump_json(data: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

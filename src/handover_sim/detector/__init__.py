@@ -1,7 +1,6 @@
 """Force-sequence release detection: data generation, training, inference."""
 
 from .curves import (
-    ForceSample,
     ForceSequence,
     LoadCurveParams,
     generate_handover_sequence,
@@ -22,7 +21,6 @@ from .network import (
     forward_batch,
     init_network,
     load_weights,
-    lstm_forward,
     predict_batch,
     save_weights,
 )
@@ -37,7 +35,6 @@ from .training import (
 )
 
 __all__ = [
-    "ForceSample",
     "ForceSequence",
     "LoadCurveParams",
     "generate_handover_sequence",
@@ -49,7 +46,6 @@ __all__ = [
     "load_sequence_csv",
     "NetworkParams",
     "init_network",
-    "lstm_forward",
     "forward_batch",
     "predict_batch",
     "backward_batch",

@@ -18,27 +18,12 @@ import numpy as np
 
 __all__ = [
     "LoadCurveParams",
-    "ForceSample",
     "ForceSequence",
     "generate_handover_sequence",
     "sample_curve_params",
 ]
 
 TRANSFER_LABEL_FRACTION = 0.95
-
-
-@dataclass(frozen=True)
-class ForceSample:
-    """One sensor row: time, six wrench values, and the release label."""
-
-    time: float
-    wrench: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wrench", np.asarray(self.wrench, dtype=float).reshape(6))
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -83,29 +68,19 @@ class LoadCurveParams:
 class ForceSequence:
     """A generated force trace with per-sample labels and ground truth.
 
-    wrench composes noise with the scheduled z load; load_z and noise are
-    kept separately so a simulator can cut the load at gripper opening.
-    fraction is the ground-truth transferred load fraction.
+    wrench composes noise with the scheduled z load; noise is kept separately
+    so a simulator can cut the load at gripper opening. fraction is the
+    ground-truth transferred load fraction.
     """
 
     times: np.ndarray
     wrench: np.ndarray
     labels: np.ndarray
     fraction: np.ndarray | None = None
-    load_z: np.ndarray | None = None
     noise: np.ndarray | None = None
-    grip: np.ndarray | None = None
-    params: LoadCurveParams | None = None
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, idx: int) -> ForceSample:
-        return ForceSample(float(self.times[idx]), self.wrench[idx], int(self.labels[idx]))
-
-    def __iter__(self):
-        for idx in range(len(self.times)):
-            yield self[idx]
 
 
 def _scheduled_load(p: LoadCurveParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,13 +101,6 @@ def _disturbance_pulses(p: LoadCurveParams, t: np.ndarray) -> np.ndarray:
         inside = (t >= start) & (t < start + width)
         pulses[inside] += peak * np.sin(np.pi * (t[inside] - start) / width)
     return pulses
-
-
-def _grip_schedule(p: LoadCurveParams, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    fraction = np.clip((t - p.engagement_time) / p.transfer_duration, 0.0, 1.0)
-    grip = p.f_G0 - (p.f_G0 - p.residual_grip) * fraction
-    grip[labels == 1] = 0.0
-    return grip
 
 
 def sample_curve_params(
@@ -207,8 +175,5 @@ def generate_handover_sequence(p: LoadCurveParams, duration: float, rate: float)
         wrench=wrench,
         labels=labels,
         fraction=fraction,
-        load_z=load,
         noise=noise,
-        grip=_grip_schedule(p, times, labels),
-        params=p,
     )

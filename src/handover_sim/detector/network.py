@@ -22,7 +22,6 @@ from scipy.special import expit as _sigmoid
 __all__ = [
     "NetworkParams",
     "init_network",
-    "lstm_forward",
     "forward_batch",
     "predict_batch",
     "backward_batch",
@@ -189,14 +188,6 @@ def predict_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     h, _ = _run_lstm(params, X, keep_cache=False)
     y_hat, _ = _head_forward(params, h)
     return y_hat
-
-
-def lstm_forward(params: NetworkParams, window: np.ndarray) -> np.ndarray:
-    """Class scores in (0, 1)^2 for a single (steps, input_size) window."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != params.input_size:
-        raise ValueError(f"expected (steps, {params.input_size}) window, got {window.shape}")
-    return predict_batch(params, window[None])[0]
 
 
 def bce_loss(y: np.ndarray, y_hat: np.ndarray, sample_weights: np.ndarray | None = None) -> float:

@@ -13,6 +13,8 @@ below a fixed fraction of it for a sustained stretch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit as _sigmoid
 
@@ -25,7 +27,8 @@ RELEASE = "release"
 
 
 class ReleaseMonitor:
-    """FIFO buffer plus classifier; decision debounced over consecutive hits."""
+    """FIFO buffer plus classifier run every period-th reading; decision
+    debounced over consecutive hits."""
 
     def __init__(
         self,
@@ -33,9 +36,12 @@ class ReleaseMonitor:
         window: int = 500,
         threshold_prob: float = 0.5,
         consecutive_required: int = 5,
+        period: int = 1,
     ):
         if window < 1:
             raise ValueError("window must be >= 1")
+        if period < 1:
+            raise ValueError("period must be >= 1")
         if not 0.0 < threshold_prob < 1.0:
             raise ValueError("threshold_prob must lie in (0, 1)")
         if consecutive_required < 1:
@@ -44,6 +50,7 @@ class ReleaseMonitor:
         self.window = window
         self.threshold_prob = threshold_prob
         self.consecutive_required = consecutive_required
+        self.period = period
         self._hidden = net.hidden
         self._features = net.input_size
         # Split the fused LSTM matrix once and cast every weight to the float64
@@ -59,7 +66,6 @@ class ReleaseMonitor:
             for a in (net.W1, net.b1, net.W2, net.b2, net.W3, net.b3)
         )
         self._proj = np.zeros((window, 4 * H))
-        self._raw = np.zeros((window, self._features))
         self._A = np.empty(4 * H)
         self._h = np.empty(H)
         self._gc = np.empty(2 * H)
@@ -67,7 +73,7 @@ class ReleaseMonitor:
         self._pos = 0
         self._streak = 0
         self._released = False
-        self.last_probability = 0.0
+        self.output = math.nan
 
     def __len__(self) -> int:
         return min(self._count, self.window)
@@ -75,16 +81,9 @@ class ReleaseMonitor:
     def push(self, reading: np.ndarray) -> None:
         """Append one reading, evicting the oldest beyond the window."""
         reading = np.asarray(reading, dtype=float).reshape(self._features)
-        self._raw[self._pos] = reading
         self._proj[self._pos] = self._bias + reading @ self._W_x
         self._pos = (self._pos + 1) % self.window
         self._count += 1
-
-    def window_contents(self) -> np.ndarray:
-        """Current window, oldest row first (only valid when full)."""
-        if self._pos == 0 or self._count < self.window:
-            return self._raw.copy()
-        return np.concatenate([self._raw[self._pos :], self._raw[: self._pos]])
 
     def infer(self) -> float:
         """Open-class score for the current buffer (requires a full window)."""
@@ -115,18 +114,22 @@ class ReleaseMonitor:
         W1, b1, W2, b2, W3, b3 = self._head
         a1 = np.maximum(h @ W1 + b1, 0.0)
         a2 = np.maximum(a1 @ W2 + b2, 0.0)
-        prob = float(_sigmoid(a2 @ W3 + b3)[1])
-        self.last_probability = prob
-        return prob
+        return float(_sigmoid(a2 @ W3 + b3)[1])
 
-    def step(self, reading: np.ndarray, infer: bool = True) -> str:
-        """Append one reading; optionally run inference and debounce."""
+    def step(self, reading: np.ndarray) -> str:
+        """Append one reading; infer every period-th push and debounce.
+
+        Push k+1 infers when k % period == 0, once the window is full; output
+        holds that score, or nan in a cycle without inference.
+        """
         self.push(reading)
+        self.output = math.nan
         if self._released:
             return RELEASE
-        if not infer or self._count < self.window:
+        if (self._count - 1) % self.period or self._count < self.window:
             return HOLD
-        if self.infer() >= self.threshold_prob:
+        self.output = self.infer()
+        if self.output >= self.threshold_prob:
             self._streak += 1
         else:
             self._streak = 0
@@ -166,15 +169,24 @@ class ThresholdReleaseMonitor:
         self.f_L0: float | None = None
         self._streak = 0
         self._released = False
+        self.output = math.nan
+
+    def step(self, reading: np.ndarray) -> str:
+        """Append one reading and decide (the harness-facing form of push)."""
+        return self.push(reading)
 
     def push(self, reading: np.ndarray) -> str:
+        """Append one reading; output is the load relative to f_L0 once calibrated."""
         reading = np.asarray(reading, dtype=float).reshape(-1)
         load = abs(float(reading[2]))
         self._seen += 1
-        if self.f_L0 is None:
+        calibrating = self.f_L0 is None
+        if calibrating:
             self._calib_sum += load
             if self._seen >= self.calibration_samples:
                 self.f_L0 = self._calib_sum / self.calibration_samples
+        self.output = load / self.f_L0 if self.f_L0 else math.nan
+        if calibrating:
             return HOLD
         if self._released:
             return RELEASE

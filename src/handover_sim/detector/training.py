@@ -27,6 +27,7 @@ __all__ = [
     "TrainingDivergedError",
     "train",
     "evaluate_accuracy",
+    "evaluate_loss",
     "one_hot",
 ]
 
@@ -47,7 +48,6 @@ class TrainingConfig:
     stride: int = 10
     seed: int = 0
     max_epochs: int = 500
-    eval_val_each_epoch: bool = False
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -112,7 +112,7 @@ def train(
     """Train until the monitored loss stops improving for cfg.patience epochs.
 
     Returns the best parameters and a per-epoch history of dicts with keys
-    epoch / train_loss (and val_loss when requested). Raises
+    epoch / train_loss, plus val_loss when a val_set is given. Raises
     TrainingDivergedError if the loss turns non-finite.
     """
     if len(train_set) == 0:
@@ -151,7 +151,7 @@ def train(
             raise TrainingDivergedError(epoch)
 
         record = {"epoch": epoch, "train_loss": epoch_loss}
-        if val_set is not None and cfg.eval_val_each_epoch:
+        if val_set is not None:
             record["val_loss"] = evaluate_loss(params, val_set, cfg.batch_size)
         history.append(record)
 

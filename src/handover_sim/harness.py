@@ -19,7 +19,7 @@ import bisect
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,6 @@ __all__ = [
     "EpisodeMetrics",
     "EpisodeLog",
     "EpisodeResult",
-    "human_motion",
-    "simulate_ft_sensor",
     "pd_controller",
     "position_ik",
     "run_handover",
@@ -102,8 +100,7 @@ class Scenario:
     controller: str = "admittance"
     release: str = "network"
     seed: int = 0
-    control_rate: float = 500.0
-    sensor_rate: float = 500.0
+    control_rate: float = 500.0      # the one rate: control cycle, sensor samples, safety T_r
     plan_duration: float = 2.0
     retreat_duration: float = 0.8
     release_timeout: float = 1.0
@@ -115,10 +112,10 @@ class Scenario:
     pd_gains: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.control_rate <= 0.0 or self.sensor_rate <= 0.0:
-            raise ValueError("rates must be positive")
-        if self.control_rate != self.sensor_rate:
-            raise ValueError("control_rate and sensor_rate must match (shared cycle)")
+        if self.control_rate <= 0.0:
+            raise ValueError("control_rate must be positive")
+        if "T_r" in self.safety:
+            raise ValueError("safety.T_r is 1/control_rate; set control_rate instead")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):
@@ -153,33 +150,7 @@ class Scenario:
         return deadline + self.retreat_duration + self.episode_tail
 
     def to_dict(self) -> dict:
-        return {
-            "object_mass": self.object_mass,
-            "grasp_q": list(self.grasp_q),
-            "handover_hand_pose": list(self.handover_hand_pose),
-            "hand_motion": [list(w) for w in self.hand_motion],
-            "receiver_engagement_time": self.receiver_engagement_time,
-            "load_curve": dict(self.load_curve),
-            "disturbances": [list(d) for d in self.disturbances],
-            "controller": self.controller,
-            "release": self.release,
-            "seed": self.seed,
-            "control_rate": self.control_rate,
-            "sensor_rate": self.sensor_rate,
-            "plan_duration": self.plan_duration,
-            "retreat_duration": self.retreat_duration,
-            "release_timeout": self.release_timeout,
-            "episode_tail": self.episode_tail,
-            "detector_period": self.detector_period,
-            "pinv_damping": self.pinv_damping,
-            "admittance": dict(self.admittance),
-            "safety": dict(self.safety),
-            "pd_gains": dict(self.pd_gains),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Scenario":
-        return Scenario(**data)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -251,11 +222,6 @@ class _HandPath:
         return HumanState(self.points[idx] + vel * (t - times[idx]), vel)
 
 
-def human_motion(scenario: Scenario, t: float) -> HumanState:
-    """Hand position and exact velocity of the piecewise-linear profile at t."""
-    return _HandPath(scenario).state(t)
-
-
 # ---------------------------------------------------------------------------
 # simulated wrist force/torque sensor
 
@@ -268,7 +234,6 @@ class EpisodeSensor:
     """
 
     def __init__(self, curve: LoadCurveParams, duration: float, rate: float):
-        self.rate = float(rate)
         self.sequence = generate_handover_sequence(curve, duration, rate)
         if not (np.isfinite(self.sequence.wrench).all() and np.isfinite(self.sequence.noise).all()):
             raise ValueError("sensor trace must be finite")
@@ -280,12 +245,6 @@ class EpisodeSensor:
 
     def fraction(self, cycle: int) -> float:
         return float(self.sequence.fraction[cycle])
-
-
-def simulate_ft_sensor(sensor: EpisodeSensor, t: float, gripper_open: bool = False) -> Wrench:
-    """Sensor wrench at time t (tool frame)."""
-    cycle = min(int(round(t * sensor.rate)), len(sensor.sequence) - 1)
-    return Wrench.from_array(sensor.reading(cycle, gripper_open))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +298,7 @@ def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: 
     q_s = q + np.outer(times, q_dot) - 0.5 * np.outer(times**2, decel)
     qd_s = q_dot - np.outer(times, decel)
     qdd_s = np.tile(-decel, (count, 1))
-    seg = QuinticTrajectory(
-        start_q=q, end_q=q_s[-1], duration=T, sample_rate=rate,
-        times=times, q=q_s, q_dot=qd_s, q_ddot=qdd_s,
-    )
-    return fit_cubic_spline(seg), T
+    return fit_cubic_spline(QuinticTrajectory(times=times, q=q_s, q_dot=qd_s, q_ddot=qdd_s)), T
 
 
 def position_ik(
@@ -397,14 +352,14 @@ def run_handover(
     if model is None:
         model = default_manipulator(payload_mass=scenario.object_mass)
     n = model.joint_count
-    safety_params = SafetyParams(**scenario.safety)
+    T_r = 1.0 / scenario.control_rate
+    safety_params = SafetyParams(**scenario.safety, T_r=T_r)
     adm_params = AdmittanceParams.diagonal(**scenario.admittance)
     pd_gains = {**DEFAULT_PD_GAINS, **scenario.pd_gains}
     m_r = apparent_mass(model)
 
     curve = scenario.curve_params()
     duration = scenario.episode_duration()
-    T_r = 1.0 / scenario.control_rate
     max_cycles = int(round(duration * scenario.control_rate))
     sensor = EpisodeSensor(curve, duration + T_r, scenario.control_rate)
     hand = _HandPath(scenario)
@@ -416,7 +371,9 @@ def run_handover(
     path = PathParameter(s=spline.start_time, s_dot=1.0, t_final=spline.end_time)
 
     if scenario.release == "network":
-        monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(network)
+        monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(
+            network, period=scenario.detector_period
+        )
     else:
         monitor = ThresholdReleaseMonitor()
 
@@ -456,16 +413,8 @@ def run_handover(
 
         det_out = math.nan
         if not gripper_open:
-            decision = None
-            if isinstance(monitor, ReleaseMonitor):
-                run_inference = k % scenario.detector_period == 0
-                decision = monitor.step(raw, infer=run_inference)
-                if run_inference and len(monitor) >= monitor.window:
-                    det_out = monitor.last_probability
-            else:
-                decision = monitor.push(raw)
-                if monitor.f_L0:
-                    det_out = abs(raw[2]) / monitor.f_L0
+            decision = monitor.step(raw)
+            det_out = monitor.output
             if decision == RELEASE:
                 gripper_open = True
                 release_time = t

@@ -8,16 +8,13 @@ follow the standard Denavit-Hartenberg convention; each joint transform is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ManipulatorModel",
-    "JointState",
     "Pose",
     "SingularConfigurationError",
     "forward_kinematics",
@@ -30,7 +27,6 @@ __all__ = [
     "pose_from_frames",
     "jacobian_from_frames",
     "jacobian_dot_from_frames",
-    "load_manipulator",
 ]
 
 ROTATION_TOL = 1e-9
@@ -74,25 +70,6 @@ class Pose:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
         _check_rotation(self.rotation)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.zeros(3), np.eye(3))
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Joint-space state (q, q_dot) at a given time."""
-
-    q: np.ndarray
-    q_dot: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).ravel())
-        object.__setattr__(self, "q_dot", np.asarray(self.q_dot, dtype=float).ravel())
-        if self.q.shape != self.q_dot.shape:
-            raise ValueError("q and q_dot must have equal length")
 
 
 @dataclass(frozen=True)
@@ -156,32 +133,6 @@ class ManipulatorModel:
         if q.shape != (self.joint_count,):
             raise ValueError(f"expected {self.joint_count} joint values, got {q.shape}")
         return q
-
-    def to_dict(self) -> dict:
-        return {
-            "joint_count": self.joint_count,
-            "dh_rows": self.dh_rows.tolist(),
-            "q_dot_min": self.q_dot_min.tolist(),
-            "q_dot_max": self.q_dot_max.tolist(),
-            "q_ddot_min": self.q_ddot_min.tolist(),
-            "q_ddot_max": self.q_ddot_max.tolist(),
-            "link_masses": self.link_masses.tolist(),
-            "payload_mass": self.payload_mass,
-            "tool_transform": self.tool_transform.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ManipulatorModel":
-        kwargs = dict(data)
-        if "tool_transform" not in kwargs:
-            kwargs["tool_transform"] = np.eye(4)
-        return ManipulatorModel(**kwargs)
-
-
-def load_manipulator(path: str | Path) -> ManipulatorModel:
-    """Load a manipulator description from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ManipulatorModel.from_dict(json.load(fh))
 
 
 # Which of (cos, sin) of the joint angle multiplies each top-row entry of A_i.

@@ -29,12 +29,9 @@ __all__ = [
     "SafetyParams",
     "HumanState",
     "ScalingResult",
-    "hr_versor",
     "ssm_limit",
     "apparent_mass",
     "pfl_limit",
-    "combined_limit",
-    "modified_jacobian",
     "optimal_alpha",
     "LinkConstraints",
     "link_constraints",
@@ -103,15 +100,6 @@ class ScalingResult:
             raise ValueError(f"alpha out of [0, 1]: {self.alpha}")
 
 
-def hr_versor(P_H: np.ndarray, P_R: np.ndarray) -> np.ndarray:
-    """Unit vector from a robot point toward the human point."""
-    diff = np.asarray(P_H, dtype=float) - np.asarray(P_R, dtype=float)
-    norm = float(np.linalg.norm(diff))
-    if norm < 1e-9:
-        raise ValueError("human and robot points coincide; separation direction undefined")
-    return diff / norm
-
-
 def _ssm_vector(params: SafetyParams, separation: np.ndarray, v_h: np.ndarray) -> np.ndarray:
     a_t = params.a_max * params.T_r
     if params.ssm_formula == "corrected":
@@ -158,37 +146,6 @@ def pfl_limit(params: SafetyParams, m_r: float) -> float:
     mu = 1.0 / (1.0 / m_r + 1.0 / params.m_h)
     force_cap = min(params.F_max, params.p_max * params.A)
     return force_cap / math.sqrt(mu * params.k_spring)
-
-
-def combined_limit(ssm: float, pfl: float) -> float:
-    """Governing limit: the larger of the two paradigms."""
-    if ssm < 0.0 or pfl < 0.0:
-        raise ValueError("limits must be non-negative")
-    return max(ssm, pfl)
-
-
-def modified_jacobian(
-    model: ManipulatorModel,
-    q: np.ndarray,
-    versor: np.ndarray,
-    link_index: int,
-) -> np.ndarray:
-    """Row mapping joint rates to the speed of link link_index toward the human.
-
-    The row is the versor projection of the positional Jacobian of the link
-    point, truncated so that joints beyond link_index contribute zero.
-    """
-    if not 1 <= link_index <= model.joint_count:
-        raise ValueError(f"link_index must be in [1, {model.joint_count}], got {link_index}")
-    versor = np.asarray(versor, dtype=float).reshape(3)
-    if abs(np.linalg.norm(versor) - 1.0) > 1e-9:
-        raise ValueError("versor must have unit norm")
-    origins, axes, _, _ = chain_frames(model, model.check_q(q))
-    row = np.zeros(model.joint_count)
-    point = origins[link_index]
-    cols = cross_rows(axes[:link_index], point - origins[:link_index])
-    row[:link_index] = cols @ versor
-    return row
 
 
 _TAGS = ("iso-limit", "joint-velocity", "joint-acceleration")

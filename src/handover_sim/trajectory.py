@@ -9,14 +9,10 @@ changing the geometric path.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-
-from .kinematics import ManipulatorModel, Pose, forward_kinematics, jacobian, jacobian_dot
 
 __all__ = [
     "QuinticTrajectory",
@@ -26,8 +22,6 @@ __all__ = [
     "fit_cubic_spline",
     "sample_spline",
     "advance_parameter",
-    "to_cartesian",
-    "write_trajectory_csv",
 ]
 
 
@@ -35,10 +29,6 @@ __all__ = [
 class QuinticTrajectory:
     """Sampled per-joint quintic with zero boundary velocity and acceleration."""
 
-    start_q: np.ndarray
-    end_q: np.ndarray
-    duration: float
-    sample_rate: float
     times: np.ndarray
     q: np.ndarray
     q_dot: np.ndarray
@@ -53,7 +43,6 @@ class SplineTrajectory:
     is clamped to [start_time, end_time].
     """
 
-    knot_times: np.ndarray
     joint_count: int
     _stacked: CubicSpline
     # Evaluation tables for sample_spline: knots as floats, and one contiguous
@@ -112,10 +101,6 @@ def plan_quintic(
 
     delta = end_q - start_q
     return QuinticTrajectory(
-        start_q=start_q,
-        end_q=end_q,
-        duration=float(duration),
-        sample_rate=float(sample_rate),
         times=times,
         q=start_q + np.outer(sigma, delta),
         q_dot=np.outer(sigma_d, delta),
@@ -129,11 +114,7 @@ def fit_cubic_spline(traj: QuinticTrajectory) -> SplineTrajectory:
         raise ValueError(f"need at least 4 samples to fit a spline, got {len(traj.times)}")
     stacked = np.hstack([traj.q, traj.q_dot, traj.q_ddot])
     spline = CubicSpline(traj.times, stacked, axis=0, bc_type="natural")
-    return SplineTrajectory(
-        knot_times=traj.times.copy(),
-        joint_count=traj.q.shape[1],
-        _stacked=spline,
-    )
+    return SplineTrajectory(joint_count=traj.q.shape[1], _stacked=spline)
 
 
 def sample_spline(spline: SplineTrajectory, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,39 +138,3 @@ def advance_parameter(p: PathParameter, alpha: float, T_r: float) -> PathParamet
     if T_r <= 0.0:
         raise ValueError("T_r must be positive")
     return PathParameter(s=min(p.t_final, p.s + alpha * T_r), s_dot=alpha, t_final=p.t_final)
-
-
-def to_cartesian(
-    model: ManipulatorModel,
-    q_des: np.ndarray,
-    q_dot_des: np.ndarray,
-    q_ddot_des: np.ndarray,
-) -> tuple[Pose, np.ndarray, np.ndarray]:
-    """Map joint references to Cartesian pose, velocity, and acceleration.
-
-    x = FK(q), x_dot = J q_dot, x_ddot = J q_ddot + J_dot q_dot.
-    """
-    q_des = model.check_q(q_des)
-    q_dot_des = model.check_q(q_dot_des)
-    q_ddot_des = model.check_q(q_ddot_des)
-    pose = forward_kinematics(model, q_des)
-    J = jacobian(model, q_des)
-    Jd = jacobian_dot(model, q_des, q_dot_des)
-    return pose, J @ q_dot_des, J @ q_ddot_des + Jd @ q_dot_des
-
-
-def write_trajectory_csv(traj: QuinticTrajectory, path: str | Path) -> None:
-    """Export the sampled plan as CSV rows (t, q.., q_dot.., q_ddot..)."""
-    n = traj.q.shape[1]
-    header = (
-        ["t"]
-        + [f"q{i}" for i in range(n)]
-        + [f"qd{i}" for i in range(n)]
-        + [f"qdd{i}" for i in range(n)]
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.q[k], *traj.q_dot[k], *traj.q_ddot[k]]
-            writer.writerow([f"{v:.12g}" for v in row])

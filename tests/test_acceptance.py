@@ -277,11 +277,10 @@ def test_trained_release_fires_after_pull_never_before_engagement(trained_detect
     for _ in range(8):
         params = sample_curve_params(rng, disturbed=False)
         seq = generate_handover_sequence(params, params.schedule_end + 1.2, 500.0)
-        monitor = ReleaseMonitor(trained_detector.net)
+        monitor = ReleaseMonitor(trained_detector.net, period=10)
         release_t = None
         for k in range(len(seq)):
-            infer = k % 10 == 0
-            if monitor.step(seq.wrench[k], infer=infer) == RELEASE:
+            if monitor.step(seq.wrench[k]) == RELEASE:
                 release_t = seq.times[k]
                 break
         assert release_t is not None, "no release on a clean transfer"
@@ -303,11 +302,11 @@ def test_trained_detector_more_robust_than_threshold(trained_detector):
             continue
         episodes += 1
         seq = generate_handover_sequence(params, params.schedule_end + 1.2, 500.0)
-        monitor = ReleaseMonitor(trained_detector.net)
+        monitor = ReleaseMonitor(trained_detector.net, period=10)
         threshold = ThresholdReleaseMonitor()
         net_done = thr_done = False
         for k in range(len(seq)):
-            if not net_done and monitor.step(seq.wrench[k], infer=k % 10 == 0) == RELEASE:
+            if not net_done and monitor.step(seq.wrench[k]) == RELEASE:
                 net_done = True
                 if seq.labels[k] == 0:
                     net_spurious += 1

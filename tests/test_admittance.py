@@ -5,13 +5,14 @@ from handover_sim.admittance import (
     AdmittanceParams,
     Wrench,
     admittance_accel,
-    cartesian_to_joint,
     integrate_velocity,
     pose_error,
     transform_wrench,
 )
 from handover_sim.kinematics import Pose, damped_pinv, forward_kinematics, jacobian
-from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline, to_cartesian
+from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
+
+from test_trajectory import to_cartesian
 
 
 def rot_z(angle):
@@ -143,11 +144,11 @@ def test_integrate_requires_positive_step():
 
 
 # ---------------------------------------------------------------------------
-# Cartesian-to-joint mapping
+# Cartesian-to-joint mapping (the damped inverse the harness applies)
 
 def test_cartesian_to_joint_zero(default_model):
     q = np.random.default_rng(1).uniform(-1, 1, 6)
-    assert np.allclose(cartesian_to_joint(default_model, q, np.zeros(6)), 0.0)
+    assert np.allclose(damped_pinv(jacobian(default_model, q)) @ np.zeros(6), 0.0)
 
 
 def test_identity_jacobian_passthrough():
@@ -158,7 +159,7 @@ def test_identity_jacobian_passthrough():
 def test_cartesian_to_joint_residual(default_model):
     q = np.random.default_rng(42).uniform(-1.2, 1.2, 6)
     xd = np.random.default_rng(43).normal(size=6) * 0.2
-    qd = cartesian_to_joint(default_model, q, xd, lam=0.0)
+    qd = damped_pinv(jacobian(default_model, q), 0.0) @ xd
     assert np.abs(jacobian(default_model, q) @ qd - xd).max() < 1e-9
 
 

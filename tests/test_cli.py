@@ -96,6 +96,23 @@ def test_simulate_override_plumbs_into_scenario(tmp_path):
     assert manifest["scenario"]["object_mass"] == 0.5
 
 
+@pytest.mark.parametrize("field, flags", [
+    ("object_mas", ["--override", "object_mas=0.5"]),
+    ("sensor_rate", ["--override", "sensor_rate=500"]),
+])
+def test_simulate_unknown_scenario_field_is_usage_error(tmp_path, capsys, field, flags):
+    scenario = write_scenario(tmp_path / "scenario.json")
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o"), *flags])
+    assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
+def test_stale_scenario_file_key_is_usage_error(tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "scenario.json", sensor_rate=500.0)
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "sensor_rate" in capsys.readouterr().err
+
+
 def test_simulate_failure_exit_code(tmp_path):
     # cancelling pulse in the hold phase: baseline drops the object
     scenario = write_scenario(
@@ -146,6 +163,16 @@ def test_train_and_resume_round_trip(tmp_path):
         "--epochs", "1", "--window", "64", "--stride", "32", "--batch-size", "64",
     ])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.25", "1.0", "1.5"])
+def test_train_val_fraction_outside_unit_interval_is_usage_error(tmp_path, capsys, fraction):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--sequences", "2", "--seed", "2", "--out", str(data_dir)]) == EXIT_OK
+    code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"),
+                 f"--val-fraction={fraction}", "--epochs", "1", "--window", "64", "--stride", "32"])
+    assert code == EXIT_USAGE
+    assert "--val-fraction" in capsys.readouterr().err
 
 
 def test_train_missing_dataset(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from handover_sim.detector import (
-    ForceSample,
     LoadCurveParams,
     balance_dataset,
     generate_handover_sequence,
@@ -88,14 +87,6 @@ def test_generator_deterministic():
     b = generate_handover_sequence(p, 3.0, 500.0)
     assert np.array_equal(a.wrench, b.wrench)
     assert np.array_equal(a.labels, b.labels)
-
-
-def test_force_sample_view():
-    seq = generate_handover_sequence(clean_params(), 3.0, 500.0)
-    sample = seq[10]
-    assert isinstance(sample, ForceSample)
-    assert sample.time == seq.times[10]
-    assert sample.label in (0, 1)
 
 
 def test_curve_params_validation():

