@@ -70,7 +70,10 @@ def _scenario_from_args(args) -> Scenario:
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(Scenario)})
     if unknown:
         raise UsageError(f"unknown scenario field(s): {', '.join(unknown)}")
-    return Scenario(**data)
+    try:
+        return Scenario(**data)
+    except ValueError as exc:  # a value or nested key the scenario rejects
+        raise UsageError(str(exc)) from exc
 
 
 def _write_manifest(path: Path, payload: dict) -> None:

@@ -13,6 +13,7 @@ Fused LSTM weight layout: rows [bias; input; hidden], gate columns
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,30 +119,61 @@ def init_network(
     )
 
 
-def _run_lstm(params: NetworkParams, X: np.ndarray, keep_cache: bool):
-    # The input projection of every timestep is one matrix product; the
-    # sequential loop only carries the hidden recurrence. Gate activations
-    # are written back into the projection buffer, which doubles as the
-    # backprop cache.
+def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous array of shape over store[name]'s memory, replaced when too small.
+
+    A prefix view has the layout of a fresh array of that shape, so the
+    arithmetic on it rounds the same.
+    """
+    size = math.prod(shape)
+    flat = store.get(name)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = store[name] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
+
+
+def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
+    # Each timestep's input projection goes straight into its gate row, the
+    # gate activations overwrite it in place, and c, tanh(c) and h are
+    # written straight into their step rows. Given a store, every step's row
+    # is kept (the backprop cache) in buffers drawn from it; without one, one
+    # gate row and two alternating state rows suffice.
+    keep = store is not None
+    buffers = store if keep else {}
     dtype = params.W_lstm.dtype
     B, T, F = X.shape
     H = params.hidden
     W = params.W_lstm
     bias, W_x, W_h = W[0], W[1 : 1 + F], W[1 + F :]
 
-    X_tbf = np.ascontiguousarray(np.asarray(X, dtype=dtype).transpose(1, 0, 2))
-    GIFO = (X_tbf.reshape(T * B, F) @ W_x + bias).reshape(T, B, 4 * H)
-    h = np.zeros((B, H), dtype=dtype)
-    c = np.zeros((B, H), dtype=dtype)
-    ct = np.empty((B, H), dtype=dtype)
-    C = np.empty((T, B, H), dtype=dtype) if keep_cache else None
-    Ct = np.empty((T, B, H), dtype=dtype) if keep_cache else None
-    Hout = np.empty((T, B, H), dtype=dtype) if keep_cache else None
+    X_tbf = _buffer(buffers, "X_tbf", (T, B, F), dtype)
+    np.copyto(X_tbf, X.transpose(1, 0, 2), casting="unsafe")
+    GIFO = _buffer(buffers, "GIFO", (T if keep else 1, B, 4 * H), dtype)
+    rows = T if keep else 2
+    C, Ct, Hout = (_buffer(buffers, name, (rows, B, H), dtype) for name in ("C", "Ct", "Hout"))
+    hW = _buffer(buffers, "hW", (B, 4 * H), dtype)
+    ig = _buffer(buffers, "ig", (B, H), dtype)
+    h = c = _buffer(buffers, "zeros", (B, H), dtype)
+    h.fill(0.0)
+    # numpy runs a one-row product as gemv, which rounds differently from the
+    # gemm that projects a whole batch; a lone window's row is padded to two.
+    pad = B == 1 and T > 1
+    if pad:
+        x2 = _buffer(buffers, "x2", (2, F), dtype)
+        x2[1] = 0.0
+        a2 = _buffer(buffers, "a2", (2, 4 * H), dtype)
 
     with np.errstate(over="ignore"):  # sigmoid saturates cleanly at 0
         for t in range(T):
-            A = GIFO[t]
-            A += h @ W_h
+            A = GIFO[t if keep else 0]
+            if pad:
+                x2[0] = X_tbf[t, 0]
+                np.matmul(x2, W_x, out=a2)
+                np.add(a2[:1], bias, out=A)
+            else:
+                np.matmul(X_tbf[t], W_x, out=A)
+                A += bias
+            A += np.matmul(h, W_h, out=hW)
             np.tanh(A[:, :H], out=A[:, :H])
             s = A[:, H:]
             np.negative(s, out=s)
@@ -149,15 +181,12 @@ def _run_lstm(params: NetworkParams, X: np.ndarray, keep_cache: bool):
             s += 1.0
             np.reciprocal(s, out=s)
             g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
-            c *= f
-            c += i * g
-            np.tanh(c, out=ct)
-            h = o * ct
-            if keep_cache:
-                C[t] = c
-                Ct[t] = ct
-                Hout[t] = h
-    cache = {"X_tbf": X_tbf, "GIFO": GIFO, "C": C, "Ct": Ct, "Hout": Hout} if keep_cache else None
+            k = t % rows
+            c = np.multiply(c, f, out=C[k])
+            c += np.multiply(i, g, out=ig)
+            np.tanh(c, out=Ct[k])
+            h = np.multiply(o, Ct[k], out=Hout[k])
+    cache = {"X_tbf": X_tbf, "GIFO": GIFO, "C": C, "Ct": Ct, "Hout": Hout} if keep else None
     return h, cache
 
 
@@ -170,24 +199,29 @@ def _head_forward(params: NetworkParams, h: np.ndarray):
     return _sigmoid(z3), (h, a1, a2)
 
 
-def forward_batch(params: NetworkParams, X: np.ndarray):
-    """Full forward with caches for backprop. X is (batch, steps, input_size)."""
+def _check_input(params: NetworkParams, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.input_size:
         raise ValueError(f"expected (batch, steps, {params.input_size}) input, got {X.shape}")
-    h, lstm_cache = _run_lstm(params, X, keep_cache=True)
+    return X
+
+
+def forward_batch(params: NetworkParams, X: np.ndarray, cache: dict | None = None):
+    """Full forward with caches for backprop. X is (batch, steps, input_size).
+
+    Passing the cache of an earlier call reuses its buffers, of any batch
+    size, instead of allocating new ones; that earlier cache is overwritten.
+    """
+    buffers = {} if cache is None else cache["buffers"]
+    h, lstm_cache = _run_lstm(params, _check_input(params, X), buffers)
     y_hat, head_cache = _head_forward(params, h)
-    return y_hat, {"X": X, "lstm": lstm_cache, "head": head_cache}
+    return y_hat, {"lstm": lstm_cache, "head": head_cache, "buffers": buffers}
 
 
 def predict_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Forward without caches (evaluation / runtime path)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[2] != params.input_size:
-        raise ValueError(f"expected (batch, steps, {params.input_size}) input, got {X.shape}")
-    h, _ = _run_lstm(params, X, keep_cache=False)
-    y_hat, _ = _head_forward(params, h)
-    return y_hat
+    h, _ = _run_lstm(params, _check_input(params, X))
+    return _head_forward(params, h)[0]
 
 
 def bce_loss(y: np.ndarray, y_hat: np.ndarray, sample_weights: np.ndarray | None = None) -> float:

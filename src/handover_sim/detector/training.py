@@ -128,6 +128,7 @@ def train(
     history: list[dict] = []
     adam = _AdamState()
     count = len(train_set)
+    cache = None  # each step's forward pass reuses the previous step's buffers
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(count)
@@ -138,7 +139,7 @@ def train(
             X, labels = train_set.gather(idx)
             Y = one_hot(labels)
             w = sample_weights[idx]
-            y_hat, cache = forward_batch(params, X)
+            y_hat, cache = forward_batch(params, X, cache)
             losses.append(bce_loss(Y, y_hat, w))
             weights.append(len(idx))
             grads = backward_batch(params, cache, bce_output_grad(Y, y_hat, w))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import bisect
 import csv
+import inspect
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,14 @@ ARMS = {
 _DEFAULT_GRASP_Q = (1.57, -1.0, 1.2, -1.77, -1.57, 0.0)
 _DEFAULT_HAND = (0.65, -0.45, 0.55)
 
+# The keys each nested scenario dict may set: the arguments of what reads it.
+_NESTED_KEYS = {
+    "load_curve": {f.name for f in fields(LoadCurveParams)},
+    "admittance": set(inspect.signature(AdmittanceParams.diagonal).parameters),
+    "safety": {f.name for f in fields(SafetyParams)} - {"T_r"},
+    "pd_gains": set(DEFAULT_PD_GAINS),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -116,6 +125,10 @@ class Scenario:
             raise ValueError("control_rate must be positive")
         if "T_r" in self.safety:
             raise ValueError("safety.T_r is 1/control_rate; set control_rate instead")
+        for name, known in _NESTED_KEYS.items():
+            unknown = sorted(set(getattr(self, name)) - known)
+            if unknown:
+                raise ValueError(f"unknown scenario key(s): {', '.join(f'{name}.{k}' for k in unknown)}")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):

@@ -107,6 +107,32 @@ def test_simulate_unknown_scenario_field_is_usage_error(tmp_path, capsys, field,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "pd_gains.kpp"),
+    ("simulate", "safety.a_maxx"),
+    ("simulate", "admittance.mas"),
+    ("simulate", "load_curve.noise"),
+    ("compare", "pd_gains.kpp"),
+])
+def test_unknown_nested_scenario_key_is_usage_error(tmp_path, capsys, command, key):
+    # checked when the scenario is built, before any episode runs
+    scenario = write_scenario(tmp_path / "scenario.json")
+    flags = ["--controller", "pd"] if command == "simulate" else ["--episodes", "1", "--arms", "baseline-only"]
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                 *flags, "--override", f"{key}=5"])
+    assert code == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_reaction_time_override_is_usage_error(tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "scenario.json")
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                 "--override", "safety.T_r=0.001"])
+    assert code == EXIT_USAGE
+    assert "control_rate" in capsys.readouterr().err
+
+
 def test_stale_scenario_file_key_is_usage_error(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "scenario.json", sensor_rate=500.0)
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_USAGE

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from handover_sim.detector import (
     NetworkParams,
@@ -90,8 +92,40 @@ def test_window_shape_mismatch():
 
 def test_predict_matches_cached_forward():
     net = small_net()
-    X = np.random.default_rng(3).normal(size=(5, 8, 3))
-    assert np.allclose(predict_batch(net, X), forward_batch(net, X)[0], atol=1e-15)
+    for batch in (1, 5):
+        X = np.random.default_rng(3).normal(size=(batch, 8, 3))
+        assert np.array_equal(predict_batch(net, X), forward_batch(net, X)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    hidden=st.sampled_from([1, 2, 5, 8]),
+    shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 8)), min_size=2, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@example(dtype=np.float32, hidden=5, shapes=[(3, 6), (8, 6), (1, 6), (6, 6)], seed=0)
+@example(dtype=np.float64, hidden=8, shapes=[(9, 8), (2, 3), (9, 8), (1, 1)], seed=1)
+def test_reused_forward_buffers_equal_fresh(dtype, hidden, shapes, seed):
+    # batches that grow and shrink (and change length) through one chain of
+    # reused caches give exactly what fresh buffers give
+    net = small_net(seed=seed, H=hidden).astype(dtype)
+    rng = np.random.default_rng(seed)
+    reused = None
+    for batch, steps in shapes:
+        X = rng.normal(size=(batch, steps, 3)) * 2.0
+        dz3 = rng.normal(size=(batch, 2))
+        y_fresh, fresh = forward_batch(net, X)
+        y_reused, reused = forward_batch(net, X, reused)
+        assert np.array_equal(y_reused, y_fresh)
+        for key, arr in fresh["lstm"].items():
+            assert np.array_equal(reused["lstm"][key], arr), key
+        for arr_reused, arr in zip(reused["head"], fresh["head"]):
+            assert np.array_equal(arr_reused, arr)
+        g_fresh = backward_batch(net, fresh, dz3)
+        g_reused = backward_batch(net, reused, dz3)
+        for name, grad in g_fresh.items():
+            assert grad.dtype == dtype and np.array_equal(g_reused[name], grad), name
 
 
 # ---------------------------------------------------------------------------

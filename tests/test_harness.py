@@ -300,6 +300,19 @@ def test_scenario_round_trip_and_validation():
         Scenario(sensor_rate=500.0)
 
 
+def test_scenario_rejects_unknown_nested_keys():
+    # every nested dict accepts the keys of what reads it, and nothing else
+    Scenario(
+        safety={"a_max": 1.0, "human_radius": 0.12},
+        pd_gains={"kp": 5.0, "kd": 0.2},
+        admittance={"mass": 6.0, "k_rot": 10.0},
+        load_curve={"f_L0": 4.0, "noise_sigma": 0.0, "seed": 2},
+    )
+    for name, key in [("safety", "a_maxx"), ("pd_gains", "kpp"), ("admittance", "M"), ("load_curve", "noise")]:
+        with pytest.raises(ValueError, match=rf"{name}\.{key}\b"):
+            Scenario(**{name: {key: 1.0}})
+
+
 def test_reaction_time_follows_control_rate():
     # the safety reaction term T_r is one control period: at 1 kHz the first
     # logged SSM limit is the one link_constraints gives for T_r = 1 ms
