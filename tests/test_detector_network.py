@@ -97,6 +97,64 @@ def test_predict_matches_cached_forward():
         assert np.array_equal(predict_batch(net, X), forward_batch(net, X)[0])
 
 
+def reference_lstm(params, X):
+    """The allocating LSTM forward that the buffered one replaced, as an oracle.
+
+    One product projects every timestep's input; each step's c, tanh(c) and
+    h are fresh arrays copied into the caches.
+    """
+    dtype = params.W_lstm.dtype
+    B, T, F = X.shape
+    H = params.hidden
+    W = params.W_lstm
+    bias, W_x, W_h = W[0], W[1 : 1 + F], W[1 + F :]
+    X_tbf = np.ascontiguousarray(np.asarray(X, dtype=dtype).transpose(1, 0, 2))
+    GIFO = (X_tbf.reshape(T * B, F) @ W_x + bias).reshape(T, B, 4 * H)
+    h = np.zeros((B, H), dtype=dtype)
+    c = np.zeros((B, H), dtype=dtype)
+    ct = np.empty((B, H), dtype=dtype)
+    C, Ct, Hout = (np.empty((T, B, H), dtype=dtype) for _ in range(3))
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            A = GIFO[t]
+            A += h @ W_h
+            np.tanh(A[:, :H], out=A[:, :H])
+            s = A[:, H:]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
+            c *= f
+            c += i * g
+            np.tanh(c, out=ct)
+            h = o * ct
+            C[t] = c
+            Ct[t] = ct
+            Hout[t] = h
+    return h, {"X_tbf": X_tbf, "GIFO": GIFO, "C": C, "Ct": Ct, "Hout": Hout}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    hidden=st.integers(1, 8),
+    batch=st.integers(1, 6),
+    steps=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(dtype=np.float64, hidden=8, batch=1, steps=40, seed=4)  # a lone window
+def test_forward_equals_reference_lstm(dtype, hidden, batch, steps, seed):
+    net = small_net(seed=seed, H=hidden).astype(dtype)
+    X = np.random.default_rng(seed).normal(size=(batch, steps, 3)) * 2.0
+    h_ref, ref = reference_lstm(net, X)
+    y_hat, cache = forward_batch(net, X)
+    for key, arr in ref.items():
+        assert np.array_equal(cache["lstm"][key], arr), key
+    assert np.array_equal(cache["head"][0], h_ref)
+    assert np.array_equal(predict_batch(net, X), y_hat)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dtype=st.sampled_from([np.float32, np.float64]),
