@@ -20,7 +20,6 @@ from .kinematics import Pose
 
 __all__ = [
     "AdmittanceParams",
-    "Wrench",
     "pose_error",
     "admittance_accel",
     "integrate_velocity",
@@ -44,38 +43,6 @@ def _check_symmetric_psd(name: str, mat: np.ndarray, strict: bool) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class Wrench:
-    """External force (N) and torque (N m) as read by the wrist sensor."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float).reshape(3))
-        object.__setattr__(self, "torque", np.asarray(self.torque, dtype=float).reshape(3))
-        if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
-            raise ValueError("wrench entries must be finite")
-
-    @staticmethod
-    def zero() -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def unchecked(values: np.ndarray) -> "Wrench":
-        """Force/torque views of a float 6-vector already known to be finite.
-
-        Skips the per-call validation, for sensor traces checked once up front.
-        """
-        out = object.__new__(Wrench)
-        object.__setattr__(out, "force", values[:3])
-        object.__setattr__(out, "torque", values[3:])
-        return out
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
-
-
-@dataclass(frozen=True)
 class AdmittanceParams:
     """Virtual mass, damping, and stiffness (6x6 blocks) plus a force scaling."""
 
@@ -95,6 +62,7 @@ class AdmittanceParams:
 
     @staticmethod
     def diagonal(
+        *,
         mass: float = 8.0,
         inertia: float = 0.5,
         k_trans: float = 400.0,
@@ -102,6 +70,10 @@ class AdmittanceParams:
         force_weight: float = 1.0,
     ) -> "AdmittanceParams":
         """Critically damped diagonal parameters, D = 2 sqrt(K M) per axis."""
+        if mass <= 0.0 or inertia <= 0.0:
+            raise ValueError("mass and inertia must be strictly positive")
+        if k_trans < 0.0 or k_rot < 0.0:
+            raise ValueError("k_trans and k_rot must be non-negative")
         m = np.array([mass] * 3 + [inertia] * 3)
         k = np.array([k_trans] * 3 + [k_rot] * 3)
         return AdmittanceParams(
@@ -145,15 +117,16 @@ def admittance_accel(
     x_ddot_des: np.ndarray,
     x: Pose,
     x_dot: np.ndarray,
-    F_ext: Wrench,
+    F_ext: np.ndarray,
 ) -> np.ndarray:
     """Compliant Cartesian acceleration given the current tracking state.
 
-    F_ext must already be expressed in the base frame (see transform_wrench).
+    F_ext is the (force, torque) 6-vector, already expressed in the base
+    frame (see transform_wrench).
     """
     spring = params.K @ pose_error(x_des, x)
     damper = params.D @ (np.asarray(x_dot_des, dtype=float) - np.asarray(x_dot, dtype=float))
-    return params.M_inv @ (damper + spring - F_ext.as_array()) + np.asarray(x_ddot_des, dtype=float)
+    return params.M_inv @ (damper + spring - np.asarray(F_ext, dtype=float)) + np.asarray(x_ddot_des, dtype=float)
 
 
 def integrate_velocity(x_ddot_adm: np.ndarray, x_dot_current: np.ndarray, T_r: float) -> np.ndarray:
@@ -163,11 +136,8 @@ def integrate_velocity(x_ddot_adm: np.ndarray, x_dot_current: np.ndarray, T_r: f
     return np.asarray(x_dot_current, dtype=float) + np.asarray(x_ddot_adm, dtype=float) * T_r
 
 
-def transform_wrench(tool_rotation: np.ndarray, raw: Wrench, force_weight: float = 1.0) -> Wrench:
-    """Rotate a sensor-frame wrench into the base frame and scale it."""
+def transform_wrench(tool_rotation: np.ndarray, wrench: np.ndarray, force_weight: float = 1.0) -> np.ndarray:
+    """Rotate a sensor-frame (force, torque) 6-vector into the base frame and scale it."""
     R = np.asarray(tool_rotation, dtype=float)
-    # Rotation of an already-validated wrench stays finite: skip re-checks.
-    out = object.__new__(Wrench)
-    object.__setattr__(out, "force", force_weight * (R @ raw.force))
-    object.__setattr__(out, "torque", force_weight * (R @ raw.torque))
-    return out
+    w = np.asarray(wrench, dtype=float)
+    return force_weight * np.concatenate((R @ w[:3], R @ w[3:]))

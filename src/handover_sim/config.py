@@ -16,7 +16,6 @@ from .kinematics import ManipulatorModel
 
 __all__ = [
     "default_manipulator",
-    "DEFAULT_PD_GAINS",
     "apply_overrides",
     "load_json",
 ]
@@ -49,12 +48,6 @@ def default_manipulator(payload_mass: float = 1.0) -> ManipulatorModel:
         link_masses=np.asarray(_UR10E_LINK_MASSES),
         payload_mass=payload_mass,
     )
-
-
-# kd is kept well below 1: with a velocity-resolved plant the damping term
-# feeds back the previous command, and kd near 1 sustains a cycle-to-cycle
-# alternation that saturates the acceleration limits.
-DEFAULT_PD_GAINS = {"kp": 20.0, "kd": 0.1}
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:

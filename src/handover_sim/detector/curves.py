@@ -31,10 +31,8 @@ class LoadCurveParams:
     """Schedule and randomness of one synthetic handover force trace."""
 
     f_L0: float
-    f_G0: float = 20.0
     engagement_time: float = 1.5
     transfer_duration: float = 0.4
-    residual_grip: float = 2.0
     dwell_after_transfer: float = 0.1
     pull_magnitude: float = 2.0
     pull_duration: float = 0.2
@@ -131,12 +129,14 @@ def sample_curve_params(
             events.append(
                 (engagement + offset, remaining * float(rng.uniform(1.0, 1.2)), float(rng.uniform(0.12, 0.18)))
             )
+    # Two draws of parameters since removed (grip force and residual grip) are
+    # still taken, in their old places, so every seeded stream stays the same.
+    rng.uniform(10.0, 30.0)
+    rng.uniform(1.0, 3.0)
     return LoadCurveParams(
         f_L0=f_L0,
-        f_G0=float(rng.uniform(10.0, 30.0)),
         engagement_time=engagement,
         transfer_duration=transfer,
-        residual_grip=float(rng.uniform(1.0, 3.0)),
         dwell_after_transfer=float(rng.uniform(0.08, 0.15)),
         pull_magnitude=float(rng.uniform(1.5, 3.0)),
         pull_duration=float(rng.uniform(0.15, 0.25)),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import inspect
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,14 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .admittance import (
-    AdmittanceParams,
-    Wrench,
-    admittance_accel,
-    integrate_velocity,
-    transform_wrench,
-)
-from .config import DEFAULT_PD_GAINS, default_manipulator
+from .admittance import AdmittanceParams, admittance_accel, integrate_velocity, transform_wrench
+from .config import default_manipulator
 from .detector.curves import LoadCurveParams, generate_handover_sequence, sample_curve_params
 from .detector.network import NetworkParams
 from .detector.runtime import RELEASE, ReleaseMonitor, ThresholdReleaseMonitor
@@ -86,18 +79,40 @@ ARMS = {
 _DEFAULT_GRASP_Q = (1.57, -1.0, 1.2, -1.77, -1.57, 0.0)
 _DEFAULT_HAND = (0.65, -0.45, 0.55)
 
-# The keys each nested scenario dict may set: the arguments of what reads it.
-_NESTED_KEYS = {
-    "load_curve": {f.name for f in fields(LoadCurveParams)},
-    "admittance": set(inspect.signature(AdmittanceParams.diagonal).parameters),
-    "safety": {f.name for f in fields(SafetyParams)} - {"T_r"},
-    "pd_gains": set(DEFAULT_PD_GAINS),
-}
+
+def _pd_gains(*, kp: float = 20.0, kd: float = 0.1) -> tuple[float, float]:
+    """Checked PD baseline gains.
+
+    kd is kept well below 1: with a velocity-resolved plant the damping term
+    feeds back the previous command, and kd near 1 sustains a cycle-to-cycle
+    alternation that saturates the acceleration limits.
+    """
+    kp, kd = float(kp), float(kd)
+    if kp <= 0.0 or kd < 0.0:
+        raise ValueError("kp must be positive and kd non-negative")
+    return kp, kd
+
+
+def _build(group: str, known, build, values: dict, **fixed):
+    """build(**values, **fixed); an unknown key or a rejected value is a ValueError naming the group."""
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ValueError(f"unknown scenario key(s): {', '.join(f'{group}.{k}' for k in unknown)}")
+    try:
+        return build(**values, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid scenario {group}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything that defines one reproducible episode."""
+    """Everything that defines one reproducible episode.
+
+    Construction builds and checks every nested dict once, into non-field
+    attributes that to_dict(), replace() and equality do not see:
+    ``safety_params``, ``admittance_params``, ``pd_kp``/``pd_kd`` and the
+    curve that curve_params() returns.
+    """
 
     object_mass: float = 1.0
     grasp_q: tuple = _DEFAULT_GRASP_Q
@@ -125,10 +140,6 @@ class Scenario:
             raise ValueError("control_rate must be positive")
         if "T_r" in self.safety:
             raise ValueError("safety.T_r is 1/control_rate; set control_rate instead")
-        for name, known in _NESTED_KEYS.items():
-            unknown = sorted(set(getattr(self, name)) - known)
-            if unknown:
-                raise ValueError(f"unknown scenario key(s): {', '.join(f'{name}.{k}' for k in unknown)}")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):
@@ -143,17 +154,31 @@ class Scenario:
         object.__setattr__(self, "handover_hand_pose", tuple(float(v) for v in self.handover_hand_pose))
         object.__setattr__(self, "hand_motion", tuple(tuple(map(float, w)) for w in self.hand_motion))
         object.__setattr__(self, "disturbances", tuple(tuple(map(float, d)) for d in self.disturbances))
-
-    def curve_params(self) -> LoadCurveParams:
-        """Episode load-curve parameters (scenario fields plus overrides)."""
-        kwargs = {
+        object.__setattr__(self, "safety_params", _build(
+            "safety", [f.name for f in fields(SafetyParams)], SafetyParams, self.safety,
+            T_r=1.0 / self.control_rate,
+        ))
+        object.__setattr__(self, "admittance_params", _build(
+            "admittance", AdmittanceParams.diagonal.__kwdefaults__, AdmittanceParams.diagonal, self.admittance
+        ))
+        kp, kd = _build("pd_gains", _pd_gains.__kwdefaults__, _pd_gains, self.pd_gains)
+        object.__setattr__(self, "pd_kp", kp)
+        object.__setattr__(self, "pd_kd", kd)
+        curve = {
             "f_L0": self.object_mass * GRAVITY,
             "engagement_time": self.receiver_engagement_time,
             "disturbance_events": self.disturbances,
             "seed": self.seed,
+            **self.load_curve,
         }
-        kwargs.update(self.load_curve)
-        return LoadCurveParams(**kwargs)
+        object.__setattr__(self, "_curve", _build(
+            "load_curve", [f.name for f in fields(LoadCurveParams)], LoadCurveParams, curve
+        ))
+        self.episode_duration()  # rejects an engagement outside the episode
+
+    def curve_params(self) -> LoadCurveParams:
+        """Episode load-curve parameters (scenario fields plus overrides)."""
+        return self._curve
 
     def episode_duration(self) -> float:
         curve = self.curve_params()
@@ -268,14 +293,14 @@ def pd_controller(
     q_dot_des: np.ndarray,
     q: np.ndarray,
     q_dot: np.ndarray,
-    gains: dict | None = None,
+    kp: float,
+    kd: float,
 ) -> np.ndarray:
-    """Stiff velocity-resolved PD tracking; ignores external forces."""
-    gains = gains or DEFAULT_PD_GAINS
-    kp, kd = float(gains["kp"]), float(gains["kd"])
-    if kp <= 0.0 or kd < 0.0:
-        raise ValueError("PD gains must be positive (kd may be zero)")
-    return q_dot_des + kp * (np.asarray(q_des) - np.asarray(q)) + kd * (np.asarray(q_dot_des) - np.asarray(q_dot))
+    """Stiff velocity-resolved PD tracking; ignores external forces.
+
+    The gains are checked where the scenario builds them (kp > 0, kd >= 0).
+    """
+    return q_dot_des + kp * (q_des - q) + kd * (q_dot_des - q_dot)
 
 
 _QUINTIC_PEAK_VEL = 1.875       # max of the normalized quintic rate
@@ -297,7 +322,7 @@ def limit_respecting_duration(model: ManipulatorModel, delta_q: np.ndarray, requ
 
 
 def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: float):
-    """Constant-deceleration ramp to rest, splined like any other segment.
+    """Constant-deceleration ramp to rest, planned like any other segment.
 
     Keeps the retreat replan C1: without it, opening the gripper mid-motion
     would snap the reference velocity to zero in one cycle.
@@ -311,7 +336,7 @@ def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: 
     q_s = q + np.outer(times, q_dot) - 0.5 * np.outer(times**2, decel)
     qd_s = q_dot - np.outer(times, decel)
     qdd_s = np.tile(-decel, (count, 1))
-    return fit_cubic_spline(QuinticTrajectory(times=times, q=q_s, q_dot=qd_s, q_ddot=qdd_s)), T
+    return QuinticTrajectory(times=times, q=q_s, q_dot=qd_s, q_ddot=qdd_s), T
 
 
 def position_ik(
@@ -366,9 +391,9 @@ def run_handover(
         model = default_manipulator(payload_mass=scenario.object_mass)
     n = model.joint_count
     T_r = 1.0 / scenario.control_rate
-    safety_params = SafetyParams(**scenario.safety, T_r=T_r)
-    adm_params = AdmittanceParams.diagonal(**scenario.admittance)
-    pd_gains = {**DEFAULT_PD_GAINS, **scenario.pd_gains}
+    safety_params = scenario.safety_params
+    adm_params = scenario.admittance_params
+    kp, kd = scenario.pd_kp, scenario.pd_kd
     m_r = apparent_mass(model)
 
     curve = scenario.curve_params()
@@ -379,9 +404,14 @@ def run_handover(
 
     grasp_q = np.asarray(scenario.grasp_q, dtype=float)
     end_q = position_ik(model, scenario.handover_hand_pose, grasp_q, tol=1e-8)
+
+    def follow(plan: QuinticTrajectory):
+        """Spline a planned segment and start the timing law at its head."""
+        new = fit_cubic_spline(plan)
+        return new, PathParameter(s=new.start_time, s_dot=1.0, t_final=new.end_time)
+
     plan_T = limit_respecting_duration(model, end_q - grasp_q, scenario.plan_duration)
-    spline = fit_cubic_spline(plan_quintic(grasp_q, end_q, plan_T, scenario.control_rate))
-    path = PathParameter(s=spline.start_time, s_dot=1.0, t_final=spline.end_time)
+    spline, path = follow(plan_quintic(grasp_q, end_q, plan_T, scenario.control_rate))
 
     if scenario.release == "network":
         monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(
@@ -436,20 +466,19 @@ def run_handover(
                 retreat_T = 0.0
                 if scenario.retreat_duration > 0.0:
                     retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-                    if float(np.max(np.abs(q_dot_meas))) > 0.05:
+                    pending_retreat = float(np.max(np.abs(q_dot_meas))) > 0.05
+                    if pending_retreat:
                         # brake to rest first so the retreat reference starts C1
-                        spline, stop_T = _plan_stop(q, q_dot_meas, model, scenario.control_rate)
-                        pending_retreat = True
+                        stop, stop_T = _plan_stop(q, q_dot_meas, model, scenario.control_rate)
+                        spline, path = follow(stop)
                     else:
-                        spline = fit_cubic_spline(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
-                    path = PathParameter(s=spline.start_time, s_dot=1.0, t_final=spline.end_time)
+                        spline, path = follow(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
                 end_time = min(end_time, t + stop_T + retreat_T + scenario.episode_tail)
             elif t > deadline:
                 end_time = t  # receiver gave up waiting; episode is a failed release
         if pending_retreat and path.s >= spline.end_time - 1e-9:
             retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-            spline = fit_cubic_spline(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
-            path = PathParameter(s=spline.start_time, s_dot=1.0, t_final=spline.end_time)
+            spline, path = follow(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
             pending_retreat = False
         # advance the timing law with the previous cycle's scaling factor
         path = advance_parameter(path, alpha, T_r)
@@ -475,15 +504,14 @@ def run_handover(
                 J_cur = jacobian_from_frames(model, cur_frames)
             x_cur = pose_from_frames(model, cur_frames)
             x_dot = J_cur @ q_dot_meas
-            # the sensor trace was checked for finiteness when it was generated
-            wrench = transform_wrench(x_cur.rotation, Wrench.unchecked(raw), adm_params.force_weight)
+            wrench = transform_wrench(x_cur.rotation, raw, adm_params.force_weight)
             x_ddot_adm = admittance_accel(adm_params, x_des, x_dot_des, x_ddot_des, x_cur, x_dot, wrench)
             x_dot_adm = integrate_velocity(x_ddot_adm, x_dot, T_r)
             qd_adm = damped_pinv(J_cur, scenario.pinv_damping) @ x_dot_adm
         else:
             cur_frames = chain_frames(model, q)
             x_cur = pose_from_frames(model, cur_frames)
-            qd_adm = pd_controller(q_des, qd_des, q, q_dot_meas, pd_gains)
+            qd_adm = pd_controller(q_des, qd_des, q, q_dot_meas, kp, kd)
 
         lc = link_constraints(model, q, human, safety_params, m_r, frames=cur_frames)
         result = optimal_alpha(
@@ -601,9 +629,7 @@ def make_batch_scenarios(
                 receiver_engagement_time=curve.engagement_time,
                 load_curve={
                     "f_L0": curve.f_L0,
-                    "f_G0": curve.f_G0,
                     "transfer_duration": curve.transfer_duration,
-                    "residual_grip": curve.residual_grip,
                     "dwell_after_transfer": curve.dwell_after_transfer,
                     "pull_magnitude": curve.pull_magnitude,
                     "pull_duration": curve.pull_duration,

@@ -60,7 +60,6 @@ class SafetyParams:
     k_spring: float = 75000.0
     m_h: float = 0.6
     human_radius: float = 0.1
-    ssm_formula: str = "corrected"
 
     def __post_init__(self) -> None:
         for name in ("a_max", "T_r", "F_max", "p_max", "A", "k_spring", "m_h", "human_radius"):
@@ -69,8 +68,6 @@ class SafetyParams:
         for name in ("C", "Z_d", "Z_r"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.ssm_formula not in ("corrected", "verbatim"):
-            raise ValueError("ssm_formula must be 'corrected' or 'verbatim'")
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,8 @@ class ScalingResult:
 
 def _ssm_vector(params: SafetyParams, separation: np.ndarray, v_h: np.ndarray) -> np.ndarray:
     a_t = params.a_max * params.T_r
-    if params.ssm_formula == "corrected":
-        margin = separation - params.C - params.Z_d - params.Z_r
-        tail = -a_t - v_h
-    else:
-        margin = params.C + params.Z_d + params.Z_r - separation
-        tail = a_t - v_h
+    margin = separation - params.C - params.Z_d - params.Z_r
+    tail = -a_t - v_h
     radicand = v_h * v_h + a_t * a_t + 2.0 * params.a_max * margin
     return np.maximum(0.0, np.sqrt(np.maximum(radicand, 0.0)) + tail)
 
@@ -116,10 +109,9 @@ def ssm_limit(params: SafetyParams, separation: float, v_h_toward_robot: float) 
     """Speed limit from separation monitoring, clamped below at zero.
 
     separation is the hand-to-link distance already reduced by human_radius.
-    The default 'corrected' form is zero exactly at the protective boundary
-    separation = C + Z_d + Z_r; the 'verbatim' form keeps the printed sign of
-    the distance margin and of the reaction-time term and is exposed only for
-    auditing.
+    The limit is zero exactly at the protective boundary separation =
+    C + Z_d + Z_r; the paper prints the distance margin and the reaction-time
+    term with the opposite sign, which would leave a positive speed there.
     """
     if separation < 0.0:
         raise ValueError("separation must be non-negative")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from handover_sim.admittance import AdmittanceParams, Wrench, admittance_accel
+from handover_sim.admittance import AdmittanceParams, admittance_accel
 from handover_sim.cli import EXIT_OK, main
 from handover_sim.detector import (
     RELEASE,
@@ -145,7 +145,7 @@ def test_criterion_5_kinematic_oracles(default_model):
 
 
 def test_criterion_6_admittance_contracts(default_model):
-    _, tracking_err, _ = _closed_loop(default_model, lambda t: Wrench.zero())
+    _, tracking_err, _ = _closed_loop(default_model, lambda t: np.zeros(6))
     assert tracking_err <= 1e-3
 
     # static offset within 1% of K^-1 F after settling
@@ -162,7 +162,7 @@ def test_criterion_6_admittance_contracts(default_model):
         J = jacobian(default_model, q)
         xd = J @ qd
         acc = admittance_accel(params, ref, np.zeros(6), np.zeros(6), x, xd,
-                               Wrench(force, np.zeros(3)))
+                               np.concatenate((force, np.zeros(3))))
         qd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, 1.0 / 500.0)
         q = q + qd / 500.0
     offset = ref.position - forward_kinematics(default_model, q).position
@@ -174,15 +174,15 @@ def test_criterion_6_admittance_contracts(default_model):
     x_des = Pose([0.1, 0.0, 0.2], np.eye(3))
     x = Pose([0.08, 0.01, 0.21], np.eye(3))
     rng = np.random.default_rng(0)
-    F1 = Wrench(rng.normal(size=3), rng.normal(size=3))
-    F2 = Wrench(rng.normal(size=3), rng.normal(size=3))
+    F1 = rng.normal(size=6)
+    F2 = rng.normal(size=6)
 
     def accel(F):
         return admittance_accel(params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6), F)
 
-    base = accel(Wrench.zero())
+    base = accel(np.zeros(6))
     lin_err = float(np.abs(
-        (accel(Wrench(F1.force + F2.force, F1.torque + F2.torque)) - base)
+        (accel(F1 + F2) - base)
         - ((accel(F1) - base) + (accel(F2) - base))
     ).max())
     assert lin_err <= 1e-12

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from handover_sim.admittance import (
     AdmittanceParams,
-    Wrench,
     admittance_accel,
     integrate_velocity,
     pose_error,
@@ -55,7 +56,7 @@ def test_perfect_tracking_passes_reference_through():
     x = Pose([0.3, -0.1, 0.5], rot_z(0.3))
     xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
     xdd_des = np.array([1.0, -2.0, 0.5, 0.1, 0.0, -0.3])
-    out = admittance_accel(params, x, xd, xdd_des, x, xd, Wrench.zero())
+    out = admittance_accel(params, x, xd, xdd_des, x, xd, np.zeros(6))
     assert np.allclose(out, xdd_des, atol=1e-12)
 
 
@@ -64,7 +65,7 @@ def test_scalar_case():
     params = AdmittanceParams(M=np.eye(6), D=20.0 * np.eye(6), K=100.0 * np.eye(6))
     x_des = Pose([0.01, 0.0, 0.0], np.eye(3))
     x = Pose([0.0, 0.0, 0.0], np.eye(3))
-    out = admittance_accel(params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6), Wrench.zero())
+    out = admittance_accel(params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6), np.zeros(6))
     assert abs(out[0] - 1.0) < 1e-12
     assert np.allclose(out[1:], 0.0, atol=1e-12)
 
@@ -78,7 +79,7 @@ def test_static_equilibrium_offset():
     x = Pose(-offset, np.eye(3))  # displaced away from the reference by K^-1 F
     out = admittance_accel(
         params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6),
-        Wrench(force, np.zeros(3)),
+        np.concatenate((force, np.zeros(3))),
     )
     assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -95,10 +96,10 @@ def test_linearity_in_force():
         return admittance_accel(params, x_des, xd_des, xdd, x, xd, F)
 
     rng = np.random.default_rng(0)
-    F1 = Wrench(rng.normal(size=3), rng.normal(size=3))
-    F2 = Wrench(rng.normal(size=3), rng.normal(size=3))
-    F12 = Wrench(F1.force + F2.force, F1.torque + F2.torque)
-    base = accel(Wrench.zero())
+    F1 = rng.normal(size=6)
+    F2 = rng.normal(size=6)
+    F12 = F1 + F2
+    base = accel(np.zeros(6))
     lhs = accel(F12) - base
     rhs = (accel(F1) - base) + (accel(F2) - base)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -115,6 +116,17 @@ def test_params_validation():
         AdmittanceParams(M=bad, D=np.eye(6), K=np.eye(6))  # asymmetric
     with pytest.raises(ValueError):
         AdmittanceParams.diagonal(force_weight=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mass", -1.0), ("mass", 0.0), ("inertia", -0.5), ("k_trans", -1.0), ("k_rot", -20.0),
+])
+def test_diagonal_rejects_bad_values_before_sqrt(key, value):
+    # the check runs before D = 2 sqrt(K M), so numpy warns of no invalid sqrt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=key):
+            AdmittanceParams.diagonal(**{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +179,19 @@ def test_cartesian_to_joint_residual(default_model):
 # wrench transform
 
 def test_transform_wrench_identity():
-    w = Wrench([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+    w = np.array([1.0, 2.0, 3.0, 0.1, 0.2, 0.3])
     out = transform_wrench(np.eye(3), w, 1.0)
-    assert np.allclose(out.force, w.force) and np.allclose(out.torque, w.torque)
+    assert out.shape == (6,) and np.allclose(out, w)
 
 
 def test_transform_wrench_zero_weight_disables_compliance():
-    w = Wrench([5.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    out = transform_wrench(np.eye(3), w, 0.0)
-    assert np.allclose(out.force, 0.0) and np.allclose(out.torque, 0.0)
+    out = transform_wrench(np.eye(3), np.array([5.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0)
+    assert np.allclose(out, 0.0)
 
 
 def test_transform_wrench_axis_flip():
-    out = transform_wrench(rot_z(np.pi), Wrench([1.0, 0.0, 0.0], np.zeros(3)), 1.0)
-    assert np.allclose(out.force, [-1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_wrench_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Wrench([np.nan, 0, 0], [0, 0, 0])
+    out = transform_wrench(rot_z(np.pi), np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), 1.0)
+    assert np.allclose(out, [-1.0, 0.0, 0.0, 0.0, -1.0, 0.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,7 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
 
 
 def test_zero_force_tracking(default_model):
-    _, final_err, _ = _closed_loop(default_model, lambda t: Wrench.zero())
+    _, final_err, _ = _closed_loop(default_model, lambda t: np.zeros(6))
     assert final_err < 1e-3
 
 
@@ -243,7 +249,7 @@ def test_static_compliance_converges(default_model):
         J = jacobian(default_model, q)
         xd = J @ qd_meas
         acc = admittance_accel(
-            params, x_ref, np.zeros(6), np.zeros(6), x, xd, Wrench(force, np.zeros(3))
+            params, x_ref, np.zeros(6), np.zeros(6), x, xd, np.concatenate((force, np.zeros(3)))
         )
         qd_cmd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, T_r)
         q = q + qd_cmd * T_r

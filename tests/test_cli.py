@@ -125,6 +125,26 @@ def test_unknown_nested_scenario_key_is_usage_error(tmp_path, capsys, command, k
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("key, value", [
+    ("pd_gains.kp", "0"),
+    ("safety.a_max", "-1"),
+    ("admittance.mass", "-1"),
+    ("load_curve.f_L0", "-1"),
+])
+def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command, key, value):
+    # every nested value is checked when the scenario is built, before any episode runs
+    scenario = write_scenario(tmp_path / "scenario.json")
+    flags = ["--controller", "pd"] if command == "simulate" else ["--episodes", "1", "--arms", "baseline-only"]
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                 *flags, "--override", f"{key}={value}"])
+    assert code == EXIT_USAGE
+    group, name = key.split(".")
+    err = capsys.readouterr().err
+    assert f"scenario {group}" in err and name in err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 def test_reaction_time_override_is_usage_error(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "scenario.json")
     code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o"),

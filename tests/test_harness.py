@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from handover_sim import harness
 from handover_sim.detector.curves import LoadCurveParams
 from handover_sim.harness import (
     FAILED_RELEASE,
@@ -102,6 +103,13 @@ def test_sensor_noise_only_after_release():
     assert abs(released[2]) < 0.2  # load gone within the same sample
 
 
+def test_sensor_rejects_non_finite_trace():
+    # the one finiteness check of the wrench the admittance law reads
+    curve = LoadCurveParams(f_L0=5.0, engagement_time=1.0, disturbance_events=((0.5, np.nan, 0.1),))
+    with pytest.raises(ValueError, match="finite"):
+        EpisodeSensor(curve, 2.0, 500.0)
+
+
 def test_sensor_no_object_is_pure_noise():
     curve = LoadCurveParams(f_L0=5.0, engagement_time=1.0, noise_sigma=0.05, seed=2)
     sensor = EpisodeSensor(curve, 2.0, 500.0)
@@ -114,23 +122,22 @@ def test_sensor_no_object_is_pure_noise():
 # PD baseline controller
 
 def test_pd_zero_error_passthrough():
-    qd = pd_controller(np.zeros(3), np.array([0.1, 0.2, 0.3]), np.zeros(3), np.array([0.1, 0.2, 0.3]))
+    qd = pd_controller(np.zeros(3), np.array([0.1, 0.2, 0.3]), np.zeros(3), np.array([0.1, 0.2, 0.3]), 20.0, 0.1)
     assert np.allclose(qd, [0.1, 0.2, 0.3])
 
 
 def test_pd_pure_position_term():
     e = np.array([0.05, -0.02])
-    qd = pd_controller(e, np.zeros(2), np.zeros(2), np.zeros(2), {"kp": 10.0, "kd": 0.0})
+    qd = pd_controller(e, np.zeros(2), np.zeros(2), np.zeros(2), 10.0, 0.0)
     assert np.allclose(qd, 10.0 * e)
 
 
 def test_pd_discrete_step_converges():
     # one-joint ideal velocity plant, constant reference: error contracts to 0
-    gains = {"kp": 20.0, "kd": 0.1}
     q, qd_meas = 0.0, 0.0
     T = 0.002
     for _ in range(2000):
-        u = float(pd_controller(np.array([1.0]), np.zeros(1), np.array([q]), np.array([qd_meas]), gains)[0])
+        u = float(pd_controller(np.array([1.0]), np.zeros(1), np.array([q]), np.array([qd_meas]), 20.0, 0.1)[0])
         q += u * T
         qd_meas = u
     assert abs(q - 1.0) < 1e-6
@@ -138,8 +145,13 @@ def test_pd_discrete_step_converges():
 
 
 def test_pd_rejects_bad_gains():
-    with pytest.raises(ValueError):
-        pd_controller(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), {"kp": 0.0, "kd": 0.1})
+    # the scenario checks the gains once; the controller is plain arithmetic
+    for gains in ({"kp": 0.0}, {"kp": -1.0}, {"kd": -0.1}, {"kp": "stiff"}):
+        with pytest.raises(ValueError, match="pd_gains"):
+            Scenario(pd_gains=gains)
+    sc = Scenario(pd_gains={"kp": 5, "kd": 0})
+    assert (sc.pd_kp, sc.pd_kd) == (5.0, 0.0)
+    assert (Scenario().pd_kp, Scenario().pd_kd) == (20.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +323,30 @@ def test_scenario_rejects_unknown_nested_keys():
     for name, key in [("safety", "a_maxx"), ("pd_gains", "kpp"), ("admittance", "M"), ("load_curve", "noise")]:
         with pytest.raises(ValueError, match=rf"{name}\.{key}\b"):
             Scenario(**{name: {key: 1.0}})
+
+
+def test_scenario_builds_episode_parameters_once(monkeypatch):
+    sc = quick_scenario(control_rate=1000.0, safety={"a_max": 1.0}, admittance={"mass": 6.0},
+                        load_curve={"noise_sigma": 0.0})
+    assert sc.safety_params == SafetyParams(a_max=1.0, T_r=0.001)
+    assert sc.admittance_params.M[0, 0] == 6.0 and sc.admittance_params.K[0, 0] == 400.0
+    assert sc.curve_params() is sc.curve_params() and sc.curve_params().noise_sigma == 0.0
+    assert dataclasses.replace(sc, control_rate=500.0).safety_params.T_r == 0.002
+    for name, values in [
+        ("safety", {"a_max": -1.0}),
+        ("admittance", {"mass": -1.0}),
+        ("load_curve", {"f_L0": -1.0}),
+        ("load_curve", {"noise_sigma": "loud"}),
+    ]:
+        with pytest.raises(ValueError, match=f"scenario {name}"):
+            Scenario(**{name: values})
+    with pytest.raises(ValueError, match="engagement"):
+        Scenario(load_curve={"dwell_after_transfer": -5.0})
+    # an episode only reads what the scenario built
+    sc = quick_scenario()
+    for name in ("SafetyParams", "AdmittanceParams", "LoadCurveParams"):
+        monkeypatch.setattr(harness, name, None)
+    assert run_handover(sc).metrics.outcome == SUCCESS
 
 
 def test_reaction_time_follows_control_rate():

@@ -110,14 +110,6 @@ def test_ssm_clamps_below_boundary():
     assert ssm_limit(p, 0.05, 0.5) == 0.0
 
 
-def test_ssm_verbatim_mode_is_exposed():
-    corrected = SafetyParams(a_max=2.0, T_r=0.1)
-    verbatim = SafetyParams(a_max=2.0, T_r=0.1, ssm_formula="verbatim")
-    # the printed form keeps +a_max*T_r and flips the distance margin
-    assert ssm_limit(verbatim, 0.0, 0.0) > 0.0
-    assert ssm_limit(corrected, 1.0, 0.0) != ssm_limit(verbatim, 1.0, 0.0)
-
-
 def test_ssm_rejects_negative_separation():
     with pytest.raises(ValueError):
         ssm_limit(SafetyParams(), -0.1, 0.0)
@@ -503,5 +495,3 @@ def test_safety_params_validation():
         SafetyParams(a_max=0.0)
     with pytest.raises(ValueError):
         SafetyParams(C=-0.1)
-    with pytest.raises(ValueError):
-        SafetyParams(ssm_formula="bogus")
