@@ -208,6 +208,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(
         out / "timing.json",
         {"cycle_time_mean": m.cycle_time_mean, "cycle_time_max": m.cycle_time_max,
+         "cycle_time_p99": m.cycle_time_p99, "deadline_misses": m.deadline_misses,
          "note": "wall-clock values; not reproducible across runs"},
     )
     print(f"outcome: {m.outcome} (release at {m.release_time:.3f} s, "

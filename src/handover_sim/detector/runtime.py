@@ -1,10 +1,13 @@
 """Online release decisions from streaming force readings.
 
-ReleaseMonitor keeps the newest window of readings in a ring buffer and runs
-the classifier over it; the gripper opens once the open-class score clears
-the threshold for a required number of consecutive inferences. The ring also
-caches the per-row input projections of the LSTM so each inference only pays
-for the recurrence.
+ReleaseMonitor scores the newest window of readings every period-th reading
+and opens the gripper once the open-class score clears the threshold for a
+required number of consecutive inferences. The windows it will score overlap:
+with window W and period P, ceil(W/P) of them are in flight at any reading.
+Each keeps its own LSTM state, one row of a state block, and all of them
+advance together over the readings pushed since the previous inference push.
+So a reading is projected once and stepped once per window that holds it, and
+no W-row buffer of readings or projections is kept.
 
 ThresholdReleaseMonitor is the classical baseline: calibrate the object
 weight from the initial hold phase, then open once the measured load stays
@@ -27,8 +30,8 @@ RELEASE = "release"
 
 
 class ReleaseMonitor:
-    """FIFO buffer plus classifier run every period-th reading; decision
-    debounced over consecutive hits."""
+    """Classifier over the newest window, scored every period-th reading;
+    decision debounced over consecutive hits."""
 
     def __init__(
         self,
@@ -54,8 +57,8 @@ class ReleaseMonitor:
         self._hidden = net.hidden
         self._features = net.input_size
         # Split the fused LSTM matrix once and cast every weight to the float64
-        # state, so no step upcasts float32 weights; the ring caches bias + input
-        # projections, and the recurrence writes into preallocated buffers.
+        # state, so no step upcasts float32 weights; every buffer is
+        # preallocated.
         H = self._hidden
         W = net.W_lstm.astype(np.float64, copy=False)
         self._bias = W[0]
@@ -65,70 +68,81 @@ class ReleaseMonitor:
             a.astype(np.float64, copy=False)
             for a in (net.W1, net.b1, net.W2, net.b2, net.W3, net.b3)
         )
-        self._proj = np.zeros((window, 4 * H))
-        self._A = np.empty(4 * H)
-        self._h = np.empty(H)
-        self._gc = np.empty(2 * H)
-        self._count = 0
-        self._pos = 0
+        # Bias + input projections of the readings pushed since the last
+        # inference push, and one state row per window in flight: the window
+        # ending at reading m*period lives in row m % slots.
+        slots = -(-window // period)
+        self._pending = np.empty((period, 4 * H))
+        self._A = np.empty((slots, 4 * H))
+        self._h = np.zeros((slots, H))
+        self._gc = np.zeros((slots, 2 * H))
+        self._count = 0      # readings pushed
+        self._advanced = 0   # readings stepped through the state block
         self._streak = 0
         self._released = False
         self.output = math.nan
 
-    def __len__(self) -> int:
-        return min(self._count, self.window)
-
-    def push(self, reading: np.ndarray) -> None:
-        """Append one reading, evicting the oldest beyond the window."""
-        reading = np.asarray(reading, dtype=float).reshape(self._features)
-        self._proj[self._pos] = self._bias + reading @ self._W_x
-        self._pos = (self._pos + 1) % self.window
-        self._count += 1
-
     def infer(self) -> float:
-        """Open-class score for the current buffer (requires a full window)."""
-        H = self._hidden
+        """Step every window in flight through the pending readings.
+
+        Returns the open-class score of the window that ends at the newest
+        reading, or nan while fewer than window readings have arrived. step
+        calls it at every inference push, from the first one on.
+        """
+        H, period, window = self._hidden, self.period, self.window
+        slots = self._h.shape[0]
         # Each step is the textbook cell (A = row + h W_h, g = tanh,
-        # i/f/o = sigmoid, c = i*g + f*c, h = o*tanh(c)) computed in place with
-        # the same float operations in the same order, so the score is
-        # bit-identical to the allocating form. g sits just before c in one
-        # buffer, so a single multiply by the adjacent [i | f] gates forms
-        # both i*g and f*c.
+        # i/f/o = sigmoid, c = i*g + f*c, h = o*tanh(c)) computed in place on
+        # the whole block with the same float operations in the same order, so
+        # every row's score is bit-identical to the allocating per-row form.
+        # The stacked matmul runs one gemv per row, as h.dot(W_h) does; a
+        # plain (slots, H) @ W_h gemm would round differently. g sits just
+        # before c in one buffer, so a single multiply by the adjacent [i | f]
+        # gates forms both i*g and f*c.
         A, gc, h, W_h = self._A, self._gc, self._h, self._W_h
-        g, c = gc[:H], gc[H:]
-        a_g, a_ifo, a_if, a_o = A[:H], A[H:], A[H : 3 * H], A[3 * H :]
-        h.fill(0.0)
-        c.fill(0.0)
-        # Oldest row first: a full ring starts at the write position.
-        start = self._pos if self._count >= self.window else 0
-        for rows in (self._proj[start:], self._proj[:start]):
-            for row in rows:
-                h.dot(W_h, out=A)
-                np.add(row, A, out=A)
-                np.tanh(a_g, out=g)
-                _sigmoid(a_ifo, out=a_ifo)
-                np.multiply(a_if, gc, out=gc)
-                np.add(g, c, out=c)
-                np.tanh(c, out=h)
-                np.multiply(a_o, h, out=h)
+        g, c = gc[:, :H], gc[:, H:]
+        a_g, a_ifo, a_if, a_o = A[:, :H], A[:, H:], A[:, H : 3 * H], A[:, 3 * H :]
+        h_rows, A_rows = h[:, None, :], A[:, None, :]
+        first = self._advanced
+        for j in range(first, self._count):
+            end = j + window - 1   # last reading of a window starting at j
+            if end % period == 0:
+                slot = end // period % slots
+                h[slot] = 0.0
+                c[slot] = 0.0
+            np.matmul(h_rows, W_h, out=A_rows)
+            np.add(self._pending[j - first], A, out=A)
+            np.tanh(a_g, out=g)
+            _sigmoid(a_ifo, out=a_ifo)
+            np.multiply(a_if, gc, out=gc)
+            np.add(g, c, out=c)
+            np.tanh(c, out=h)
+            np.multiply(a_o, h, out=h)
+        self._advanced = self._count
+        if self._count < window:
+            return math.nan
+        h_last = h[(self._count - 1) // period % slots]
         W1, b1, W2, b2, W3, b3 = self._head
-        a1 = np.maximum(h @ W1 + b1, 0.0)
+        a1 = np.maximum(h_last @ W1 + b1, 0.0)
         a2 = np.maximum(a1 @ W2 + b2, 0.0)
         return float(_sigmoid(a2 @ W3 + b3)[1])
 
     def step(self, reading: np.ndarray) -> str:
-        """Append one reading; infer every period-th push and debounce.
+        """Push one reading; infer every period-th push and debounce.
 
-        Push k+1 infers when k % period == 0, once the window is full; output
-        holds that score, or nan in a cycle without inference.
+        Push k+1 infers when k % period == 0; output holds the score once the
+        window is full, or nan in a cycle without one.
         """
-        self.push(reading)
         self.output = math.nan
         if self._released:
             return RELEASE
-        if (self._count - 1) % self.period or self._count < self.window:
+        reading = np.asarray(reading, dtype=float).reshape(self._features)
+        self._pending[self._count - self._advanced] = self._bias + reading @ self._W_x
+        self._count += 1
+        if (self._count - 1) % self.period:
             return HOLD
         self.output = self.infer()
+        # a nan score (window not yet full) compares false, so no streak yet
         if self.output >= self.threshold_prob:
             self._streak += 1
         else:

@@ -205,6 +205,8 @@ class EpisodeMetrics:
     cycles: int
     cycle_time_mean: float           # wall-clock seconds, non-deterministic
     cycle_time_max: float
+    cycle_time_p99: float
+    deadline_misses: int             # cycles longer than 1/control_rate
 
 
 @dataclass
@@ -572,6 +574,8 @@ def run_handover(
         cycles=k,
         cycle_time_mean=float(np.mean(cycle_times)) if k else math.nan,
         cycle_time_max=float(np.max(cycle_times)) if k else math.nan,
+        cycle_time_p99=float(np.percentile(cycle_times, 99)) if k else math.nan,
+        deadline_misses=int(np.count_nonzero(cycle_times > T_r)),
     )
     log = EpisodeLog(columns=list(LOG_COLUMNS), data=data, binding=binding_log)
     return EpisodeResult(scenario=scenario, metrics=metrics, log=log)

@@ -68,7 +68,9 @@ def test_simulate_threshold_needs_no_weights(tmp_path):
     manifest = json.loads((tmp_path / "run" / "episode_manifest.json").read_text())
     assert manifest["outcome"] == "success"
     assert (tmp_path / "run" / "episode.csv").exists()
-    assert (tmp_path / "run" / "timing.json").exists()
+    timing = json.loads((tmp_path / "run" / "timing.json").read_text())
+    assert timing["cycle_time_p99"] <= timing["cycle_time_max"]
+    assert 0 <= timing["deadline_misses"] <= manifest["cycles"]
 
 
 def test_simulate_same_seed_identical_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from handover_sim.detector import (
     ThresholdReleaseMonitor,
     generate_handover_sequence,
     init_network,
+    load_weights,
     predict_batch,
 )
 
@@ -51,37 +53,36 @@ def test_monitor_first_inference_at_window():
 def test_monitor_pure_function_of_window_contents():
     # different push histories, identical final window: identical score
     rng = np.random.default_rng(2)
-    rows = rng.normal(size=(30, 6))
-    a = small_monitor(window=10)
-    b = small_monitor(window=10)
-    for row in rows[-10:]:
-        a.push(row)
-    for row in rows:  # extra churn first, same last 10 rows
-        b.push(row)
-    assert a.infer() == b.infer()
+    rows = rng.normal(size=(31, 6))
+    net = init_network(hidden=4, dense1=8, dense2=4, seed=0)
+    a = ReleaseMonitor(net, window=10, period=3)
+    b = ReleaseMonitor(net, window=10, period=3)
+    for row in rows[-10:]:  # push 10 infers: 9 % 3 == 0
+        a.step(row)
+    for row in rows:  # extra churn first, same last 10 rows; push 31 infers
+        b.step(row)
+    assert not math.isnan(a.output)
+    assert a.output == b.output
 
 
 def test_monitor_matches_direct_forward():
-    mon = small_monitor(window=15)
+    mon = small_monitor(window=15, consecutive=1000)
     rows = np.random.default_rng(3).normal(size=(40, 6))
     for row in rows:
-        mon.push(row)
+        mon.step(row)
     direct = predict_batch(mon.net, rows[None, -15:])[0]
-    assert abs(mon.infer() - direct[1]) < 1e-12
+    assert abs(mon.output - direct[1]) < 1e-12
 
 
-def reference_infer(net: NetworkParams, readings: np.ndarray, window: int) -> float:
-    """Oracle: the allocating per-step loop over the monitor's ring.
+def reference_infer(net: NetworkParams, readings: np.ndarray) -> float:
+    """Oracle: the allocating per-step loop over one window of readings.
 
     Rows are projected one at a time with the weights' own dtype against a
-    float64 state, oldest first; a window that is not yet full runs its pushed
-    rows followed by zero rows, as the ring holds them.
+    float64 state, oldest first, and the recurrence starts from zero state.
     """
     H, F = net.hidden, net.input_size
     bias, W_x, W_h = net.W_lstm[0], net.W_lstm[1 : 1 + F], net.W_lstm[1 + F :]
-    proj = np.zeros((window, 4 * H))
-    for k, reading in enumerate(readings[-window:]):
-        proj[k] = bias + np.asarray(reading, dtype=float) @ W_x
+    proj = np.array([bias + np.asarray(r, dtype=float) @ W_x for r in readings])
     h = np.zeros(H)
     c = np.zeros(H)
     for row in proj:
@@ -99,22 +100,27 @@ def reference_infer(net: NetworkParams, readings: np.ndarray, window: int) -> fl
 @given(
     dtype=st.sampled_from([np.float32, np.float64]),
     hidden=st.integers(1, 6),
-    window=st.integers(1, 12),
-    pushes=st.integers(1, 40),
+    window=st.integers(1, 40),
+    period=st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-@example(dtype=np.float32, hidden=4, window=5, pushes=10, seed=0)  # full ring, _pos == 0
-@example(dtype=np.float64, hidden=3, window=8, pushes=3, seed=1)  # window not yet full
-@example(dtype=np.float32, hidden=6, window=12, pushes=29, seed=2)  # wrapped ring
-def test_monitor_infer_equals_reference_loop(dtype, hidden, window, pushes, seed):
+@example(dtype=np.float32, hidden=4, window=20, period=10, seed=0)  # W % P == 0
+@example(dtype=np.float64, hidden=3, window=7, period=3, seed=1)  # reset inside a burst
+@example(dtype=np.float32, hidden=6, window=4, period=9, seed=2)  # P > W
+@example(dtype=np.float64, hidden=2, window=13, period=1, seed=3)  # every push infers
+@example(dtype=np.float32, hidden=1, window=1, period=1, seed=4)
+def test_monitor_infer_equals_reference_loop(dtype, hidden, window, period, seed):
+    # at every push: the score of the last window readings exactly when
+    # k % period == 0 and the window is full, nan otherwise
     net = init_network(hidden=hidden, dense1=5, dense2=3, seed=seed, dtype=dtype)
-    readings = np.random.default_rng(seed).normal(scale=3.0, size=(pushes, 6))
-    mon = ReleaseMonitor(net, window=window)
-    for reading in readings:
-        mon.push(reading)
-    expected = reference_infer(net, readings, window)
-    assert mon.infer() == expected
-    assert mon.infer() == expected  # state buffers start afresh on every call
+    readings = np.random.default_rng(seed).normal(scale=3.0, size=(3 * window + period, 6))
+    mon = ReleaseMonitor(net, window=window, consecutive_required=10**9, period=period)
+    for k, reading in enumerate(readings):
+        mon.step(reading)
+        if k % period == 0 and k + 1 >= window:
+            assert mon.output == reference_infer(net, readings[k + 1 - window : k + 1])
+        else:
+            assert math.isnan(mon.output)
 
 
 def test_monitors_sharing_weights_are_independent():
@@ -140,7 +146,7 @@ def test_monitors_sharing_weights_are_independent():
 
 
 # float.hex of the first 20 scores of a default-size monitor (window 500,
-# hidden 64, float32 weights), one inference after every 10th push of a
+# hidden 64, float32 weights), one inference after every 10th reading of a
 # synthetic handover trace, as computed by the allocating per-step loop.
 GOLDEN_DEFAULT_SCORES = [
     "0x1.012e8884fc48ap-1", "0x1.012fd0de1da6ap-1", "0x1.0130b9a3943f4p-1",
@@ -156,15 +162,32 @@ GOLDEN_DEFAULT_SCORES = [
 def test_default_monitor_scores_pinned():
     net = init_network(seed=11, dtype=np.float32)
     seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
-    mon = ReleaseMonitor(net)
+    mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
     scores = []
-    for k, reading in enumerate(seq.wrench):
-        mon.push(reading)
-        if (k + 1) % 10 == 0 and len(mon) == mon.window:
-            scores.append(mon.infer().hex())
+    # The scores were pinned after readings 10, 20, ...; one leading reading,
+    # never inside a scored window, puts those at step's k % 10 == 0 phase.
+    for reading in np.vstack((np.zeros(6), seq.wrench)):
+        mon.step(reading)
+        if not math.isnan(mon.output):
+            scores.append(mon.output.hex())
             if len(scores) == len(GOLDEN_DEFAULT_SCORES):
                 break
     assert scores == GOLDEN_DEFAULT_SCORES
+
+
+def test_default_size_monitor_equals_reference_loop():
+    # window 500, period 10, hidden 64: 50 slots step together; a plain gemm
+    # in place of the stacked per-row gemv moves some of these scores
+    net, _ = load_weights(Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz")
+    seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
+    mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
+    scored = 0
+    for k, reading in enumerate(seq.wrench):
+        mon.step(reading)
+        if not math.isnan(mon.output):
+            assert mon.output == reference_infer(net, seq.wrench[k - 499 : k + 1]), k
+            scored += 1
+    assert scored == 100
 
 
 def test_monitor_debounce_and_absorbing():
@@ -181,8 +204,9 @@ def test_monitor_debounce_and_absorbing():
 def test_monitor_streak_resets():
     mon = small_monitor(window=5, consecutive=3)
     rng = np.random.default_rng(5)
+    mon.threshold_prob = 1.0 - 1e-12  # the first inference is a negative
     for _ in range(5):
-        mon.push(rng.normal(size=6))
+        assert mon.step(rng.normal(size=6)) == HOLD
     mon.threshold_prob = 1e-12
     assert mon.step(rng.normal(size=6)) == HOLD
     mon.threshold_prob = 1.0 - 1e-12  # breaks the streak
@@ -215,12 +239,21 @@ def test_monitor_period_phase(period, window):
     for k, row in enumerate(rows):
         mon.step(row)
         if k % period == 0 and k + 1 >= window:
-            ref = ReleaseMonitor(net, window=window)
-            for r in rows[: k + 1]:
-                ref.push(r)
-            assert mon.output == ref.infer()
+            ref = ReleaseMonitor(net, window=window, consecutive_required=1000)
+            for r in rows[k + 1 - window : k + 1]:
+                ref.step(r)
+            assert mon.output == ref.output
         else:
             assert math.isnan(mon.output)
+
+
+def test_monitor_keeps_one_state_row_per_window_in_flight():
+    # window 500, period 10: 50 windows overlap at any reading, so the monitor
+    # holds 50 state rows and no 500-row ring
+    net = init_network(hidden=4, dense1=8, dense2=4, seed=0)
+    mon = ReleaseMonitor(net, window=500, period=10)
+    rows = [a.shape[0] for a in vars(mon).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert max(rows) == 50
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,13 @@ def test_threshold_episode_success_and_outcome_fields():
     assert m.release_fraction >= 0.9
     assert not math.isnan(m.release_time)
     assert m.cycles > 0 and m.cycle_time_mean > 0.0
+    assert m.cycle_time_mean <= m.cycle_time_max and m.cycle_time_p99 <= m.cycle_time_max
+    # a miss is a cycle over 1/control_rate: none iff the slowest one fits
+    budget = 1.0 / res.scenario.control_rate
+    assert 0 <= m.deadline_misses <= m.cycles
+    assert (m.deadline_misses == 0) == (m.cycle_time_max <= budget)
+    if m.cycle_time_p99 > budget:  # then the slowest 1% of cycles all miss
+        assert m.deadline_misses >= m.cycles // 100
 
 
 def test_failed_release_outcome():
