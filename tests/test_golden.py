@@ -57,6 +57,15 @@ CRITERION_8_EPISODES = {
     (55, "baseline"): "20142ade1761d7f5908be3ebfc99f88c9e38cd57a558598c39c927c5dd55207f",  # success
 }
 
+# criterion-8 scenario index -> digest of the float64 bytes of the proposed
+# arm's det_out log column. episode.csv writes scores with {v:.9g}, so only
+# this digest sees a score that moves in its last bits.
+CRITERION_8_DET_OUT = {
+    0: "e90370c1be0bb4b61e50b0915cc4603da6aeac601884585ae6979c5209cb600c",  # 92 scores
+    5: "f744feda644fa3348c69cfe4e552beee2d8386a3384253735cdd940134d4bf95",  # 100 scores
+    55: "c5130cc0d354d23680115a63807595c89c07da7746fdbf4fa8438c1e150c617c",  # 55 scores
+}
+
 # evaluate_batch over criterion-8 scenarios 0 and 1, both arms
 BATCH_EPISODES = "d9e18f5c0a609d1f7d6122725317126f454446c41720a6d6d06d16c74b0c37ac"
 BATCH_SUMMARY = "e9852931cac2d8bea711727cdf4448c543a1480ec3c46c739d8cb4af1e8dd172"
@@ -102,6 +111,21 @@ def criterion_8_scenarios():
     return make_batch_scenarios(acceptance_scenario(), 60, seed=77, disturbed=True)
 
 
+@pytest.fixture(scope="module")
+def criterion_8_episode(network, criterion_8_scenarios):
+    """(index, arm) -> EpisodeResult, each episode run once per module."""
+    results = {}
+
+    def run(index, arm):
+        if (index, arm) not in results:
+            controller, release = ARMS[arm]
+            scenario = replace(criterion_8_scenarios[index], controller=controller, release=release)
+            results[index, arm] = run_handover(scenario, network=network)
+        return results[index, arm]
+
+    return run
+
+
 def test_criterion_9_episode_digest(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(acceptance_scenario(seed=13).to_dict()))
@@ -110,11 +134,16 @@ def test_criterion_9_episode_digest(tmp_path):
 
 
 @pytest.mark.parametrize("index, arm", sorted(CRITERION_8_EPISODES))
-def test_criterion_8_episode_digest(index, arm, network, criterion_8_scenarios, tmp_path):
-    controller, release = ARMS[arm]
-    scenario = replace(criterion_8_scenarios[index], controller=controller, release=release)
-    write_episode_csv(run_handover(scenario, network=network), tmp_path / "episode.csv")
+def test_criterion_8_episode_digest(index, arm, criterion_8_episode, tmp_path):
+    write_episode_csv(criterion_8_episode(index, arm), tmp_path / "episode.csv")
     assert sha256(tmp_path / "episode.csv") == CRITERION_8_EPISODES[index, arm]
+
+
+@pytest.mark.parametrize("index", sorted(CRITERION_8_DET_OUT))
+def test_criterion_8_detector_score_digest(index, criterion_8_episode):
+    log = criterion_8_episode(index, "proposed").log
+    det_out = np.ascontiguousarray(log.data[:, log.columns.index("det_out")], dtype=np.float64)
+    assert hashlib.sha256(det_out.tobytes()).hexdigest() == CRITERION_8_DET_OUT[index]
 
 
 def test_batch_csv_digests(network, criterion_8_scenarios, tmp_path):
