@@ -4,10 +4,12 @@ ReleaseMonitor scores the newest window of readings every period-th reading
 and opens the gripper once the open-class score clears the threshold for a
 required number of consecutive inferences. The windows it will score overlap:
 with window W and period P, ceil(W/P) of them are in flight at any reading.
-Each keeps its own LSTM state, one row of a state block, and all of them
-advance together over the readings pushed since the previous inference push.
-So a reading is projected once and stepped once per window that holds it, and
-no W-row buffer of readings or projections is kept.
+Each keeps its own LSTM state, one row of a state block. A reading is
+projected once, queued, and stepped once per started window that holds it,
+all those windows advancing together; no W-row buffer of readings or
+projections is kept. The block advances at every scoring push and whenever
+MAX_PENDING_ROWS readings have queued, so a period's cell steps are spread
+over its pushes and no control cycle pays for all of them.
 
 ThresholdReleaseMonitor is the classical baseline: calibrate the object
 weight from the initial hold phase, then open once the measured load stays
@@ -27,6 +29,9 @@ __all__ = ["ReleaseMonitor", "ThresholdReleaseMonitor", "HOLD", "RELEASE"]
 
 HOLD = "hold"
 RELEASE = "release"
+
+# At most 4 cell steps per push keep a W=500, P=10 push under the 2 ms period.
+MAX_PENDING_ROWS = 4
 
 
 class ReleaseMonitor:
@@ -69,13 +74,16 @@ class ReleaseMonitor:
             for a in (net.W1, net.b1, net.W2, net.b2, net.W3, net.b3)
         )
         # Bias + input projections of the readings pushed since the last
-        # inference push, and one state row per window in flight: the window
-        # ending at reading m*period lives in row m % slots.
+        # advance, and one state row per window in flight. Windows start every
+        # period-th reading from the first whose window ends on a scoring push;
+        # the n-th of them lives in row n % slots, so the windows started so
+        # far fill a prefix of the block.
         slots = -(-window // period)
-        self._pending = np.empty((period, 4 * H))
+        self._pending = np.empty((min(period, MAX_PENDING_ROWS), 4 * H))
         self._A = np.empty((slots, 4 * H))
         self._h = np.zeros((slots, H))
         self._gc = np.zeros((slots, 2 * H))
+        self._first = (1 - window) % period   # reading that starts window 0
         self._count = 0      # readings pushed
         self._advanced = 0   # readings stepped through the state block
         self._streak = 0
@@ -83,55 +91,60 @@ class ReleaseMonitor:
         self.output = math.nan
 
     def infer(self) -> float:
-        """Step every window in flight through the pending readings.
+        """Step every started window through the pending readings.
 
         Returns the open-class score of the window that ends at the newest
-        reading, or nan while fewer than window readings have arrived. step
-        calls it at every inference push, from the first one on.
+        reading when that reading is a scoring one (push k+1 with
+        k % period == 0, window full), else nan. step calls it at every
+        scoring push and whenever MAX_PENDING_ROWS readings are pending, so
+        no push runs more than that many cell steps.
         """
-        H, period, window = self._hidden, self.period, self.window
+        H, period, first = self._hidden, self.period, self._first
         slots = self._h.shape[0]
         # Each step is the textbook cell (A = row + h W_h, g = tanh,
         # i/f/o = sigmoid, c = i*g + f*c, h = o*tanh(c)) computed in place on
-        # the whole block with the same float operations in the same order, so
+        # the live rows with the same float operations in the same order, so
         # every row's score is bit-identical to the allocating per-row form.
         # The stacked matmul runs one gemv per row, as h.dot(W_h) does; a
-        # plain (slots, H) @ W_h gemm would round differently. g sits just
-        # before c in one buffer, so a single multiply by the adjacent [i | f]
-        # gates forms both i*g and f*c.
-        A, gc, h, W_h = self._A, self._gc, self._h, self._W_h
-        g, c = gc[:, :H], gc[:, H:]
-        a_g, a_ifo, a_if, a_o = A[:, :H], A[:, H:], A[:, H : 3 * H], A[:, 3 * H :]
-        h_rows, A_rows = h[:, None, :], A[:, None, :]
-        first = self._advanced
-        for j in range(first, self._count):
-            end = j + window - 1   # last reading of a window starting at j
-            if end % period == 0:
-                slot = end // period % slots
-                h[slot] = 0.0
-                c[slot] = 0.0
-            np.matmul(h_rows, W_h, out=A_rows)
-            np.add(self._pending[j - first], A, out=A)
-            np.tanh(a_g, out=g)
-            _sigmoid(a_ifo, out=a_ifo)
-            np.multiply(a_if, gc, out=gc)
+        # plain (n, H) @ W_h gemm would round differently. g sits just before
+        # c in one buffer, so a single multiply by the adjacent [i | f] gates
+        # forms both i*g and f*c.
+        for j in range(self._advanced, self._count):
+            started = (j - first) // period + 1   # windows begun by reading j
+            if started <= 0:
+                continue
+            if (j - first) % period == 0:
+                slot = (started - 1) % slots
+                self._h[slot] = 0.0
+                self._gc[slot, H:] = 0.0
+            n = min(slots, started)
+            A, gc, h = self._A[:n], self._gc[:n], self._h[:n]
+            g, c = gc[:, :H], gc[:, H:]
+            np.matmul(h[:, None, :], self._W_h, out=A[:, None, :])
+            np.add(self._pending[j - self._advanced], A, out=A)
+            np.tanh(A[:, :H], out=g)
+            _sigmoid(A[:, H:], out=A[:, H:])
+            np.multiply(A[:, H : 3 * H], gc, out=gc)
             np.add(g, c, out=c)
             np.tanh(c, out=h)
-            np.multiply(a_o, h, out=h)
+            np.multiply(A[:, 3 * H :], h, out=h)
         self._advanced = self._count
-        if self._count < window:
+        end = self._count - 1
+        if end % period or self._count < self.window:
             return math.nan
-        h_last = h[(self._count - 1) // period % slots]
+        h_last = self._h[(end + 1 - self.window - first) // period % slots]
         W1, b1, W2, b2, W3, b3 = self._head
         a1 = np.maximum(h_last @ W1 + b1, 0.0)
         a2 = np.maximum(a1 @ W2 + b2, 0.0)
         return float(_sigmoid(a2 @ W3 + b3)[1])
 
     def step(self, reading: np.ndarray) -> str:
-        """Push one reading; infer every period-th push and debounce.
+        """Push one reading; score every period-th push and debounce.
 
-        Push k+1 infers when k % period == 0; output holds the score once the
-        window is full, or nan in a cycle without one.
+        Push k+1 scores when k % period == 0; output holds the score once the
+        window is full, or nan in a cycle without one. A push that only
+        advances the pending readings leaves output nan and the streak as it
+        was.
         """
         self.output = math.nan
         if self._released:
@@ -139,9 +152,11 @@ class ReleaseMonitor:
         reading = np.asarray(reading, dtype=float).reshape(self._features)
         self._pending[self._count - self._advanced] = self._bias + reading @ self._W_x
         self._count += 1
-        if (self._count - 1) % self.period:
+        scoring = (self._count - 1) % self.period == 0
+        if scoring or self._count - self._advanced == len(self._pending):
+            self.output = self.infer()
+        if not scoring:
             return HOLD
-        self.output = self.infer()
         # a nan score (window not yet full) compares false, so no streak yet
         if self.output >= self.threshold_prob:
             self._streak += 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from handover_sim.detector import runtime
 from handover_sim.detector import (
     HOLD,
     RELEASE,
@@ -109,6 +110,7 @@ def reference_infer(net: NetworkParams, readings: np.ndarray) -> float:
 @example(dtype=np.float32, hidden=6, window=4, period=9, seed=2)  # P > W
 @example(dtype=np.float64, hidden=2, window=13, period=1, seed=3)  # every push infers
 @example(dtype=np.float32, hidden=1, window=1, period=1, seed=4)
+@example(dtype=np.float64, hidden=5, window=23, period=7, seed=5)  # P > 4 rows per advance, W % P != 0
 def test_monitor_infer_equals_reference_loop(dtype, hidden, window, period, seed):
     # at every push: the score of the last window readings exactly when
     # k % period == 0 and the window is full, nan otherwise
@@ -175,19 +177,49 @@ def test_default_monitor_scores_pinned():
     assert scores == GOLDEN_DEFAULT_SCORES
 
 
-def test_default_size_monitor_equals_reference_loop():
+def test_default_size_monitor_equals_reference_loop(monkeypatch):
     # window 500, period 10, hidden 64: 50 slots step together; a plain gemm
-    # in place of the stacked per-row gemv moves some of these scores
+    # in place of the stacked per-row gemv moves some of these scores. Each
+    # cell step calls the sigmoid once with out=, so counting those calls
+    # shows how many rows a push steps and that only infer steps them.
     net, _ = load_weights(Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz")
     seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
     mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
+    steps = {True: 0, False: 0}   # cell steps inside / outside infer
+    inside = False
+
+    def counting_sigmoid(x, out=None):
+        if out is not None:
+            steps[inside] += 1
+        return expit(x, out=out)
+
+    def traced_infer(infer=mon.infer):
+        nonlocal inside
+        inside = True
+        try:
+            return infer()
+        finally:
+            inside = False
+
+    monkeypatch.setattr(runtime, "_sigmoid", counting_sigmoid)
+    monkeypatch.setattr(mon, "infer", traced_infer)
     scored = 0
+    per_push = []
     for k, reading in enumerate(seq.wrench):
+        before = steps[True]
         mon.step(reading)
+        per_push.append(steps[True] - before)
         if not math.isnan(mon.output):
             assert mon.output == reference_infer(net, seq.wrench[k - 499 : k + 1]), k
             scored += 1
     assert scored == 100
+    assert steps[False] == 0
+    assert max(per_push) == 4
+    # reading 0 starts no scored window, so it is never stepped; readings
+    # 1-1498 are stepped once each, in pushes k % 10 in {4, 8, 0}, and the
+    # last reading is still pending
+    assert sum(per_push) == len(seq.wrench) - 2
+    assert [per_push[k] for k in range(11, 21)] == [0, 0, 0, 4, 0, 0, 0, 4, 0, 2]
 
 
 def test_monitor_debounce_and_absorbing():
@@ -199,6 +231,17 @@ def test_monitor_debounce_and_absorbing():
     assert decisions[:6] == [HOLD] * 6
     assert decisions[6] == RELEASE
     assert all(d == RELEASE for d in decisions[7:])
+
+
+def test_monitor_advance_only_pushes_keep_the_streak():
+    # period 10: pushes k % 10 in {4, 8} only advance the state block, so
+    # they neither score nor break the run of positive scores at k = 10, 20, 30
+    mon = ReleaseMonitor(init_network(hidden=4, dense1=8, dense2=4), window=5,
+                         consecutive_required=3, period=10)
+    mon.threshold_prob = 1e-12  # every score is a positive
+    rng = np.random.default_rng(7)
+    decisions = [mon.step(rng.normal(size=6)) for _ in range(31)]
+    assert decisions == [HOLD] * 30 + [RELEASE]
 
 
 def test_monitor_streak_resets():
