@@ -5,6 +5,7 @@ dynamics driven by the measured external wrench:
 
     x_ddot_adm = M^-1 (D (x_dot_des - x_dot) + K err(x_des, x) - F_ext) + x_ddot_des
 
+with diagonal M, D and K, so the products are taken per axis; this is
 followed by one explicit Euler step to a velocity command and a mapping to
 joint space through the (damped) Jacobian inverse. Positive external wrench
 pushes the robot away from its reference.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_fields
 from .kinematics import Pose
 
 __all__ = [
@@ -27,61 +29,32 @@ __all__ = [
     "rotation_log",
 ]
 
-_SYM_TOL = 1e-9
-
-
-def _check_symmetric_psd(name: str, mat: np.ndarray, strict: bool) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float).reshape(6, 6)
-    if not np.allclose(mat, mat.T, atol=_SYM_TOL):
-        raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(mat)
-    if strict and np.min(eigs) <= 0.0:
-        raise ValueError(f"{name} must be positive definite (min eig {np.min(eigs):.3e})")
-    if not strict and np.min(eigs) < -_SYM_TOL:
-        raise ValueError(f"{name} must be positive semi-definite (min eig {np.min(eigs):.3e})")
-    return mat
-
 
 @dataclass(frozen=True)
 class AdmittanceParams:
-    """Virtual mass, damping, and stiffness (6x6 blocks) plus a force scaling."""
+    """Diagonal virtual mass, stiffness and critical damping, plus a force scaling.
 
-    M: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
+    The translational axes share mass and k_trans, the rotational axes share
+    inertia and k_rot. Construction derives the per-axis vectors m_inv = 1/m,
+    k and d = 2 sqrt(k m) that admittance_accel reads.
+    """
+
+    mass: float = 8.0
+    inertia: float = 0.5
+    k_trans: float = 400.0
+    k_rot: float = 20.0
     force_weight: float = 1.0
-    M_inv: np.ndarray = field(init=False, repr=False)
+    m_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "M", _check_symmetric_psd("M", self.M, strict=True))
-        object.__setattr__(self, "D", _check_symmetric_psd("D", self.D, strict=False))
-        object.__setattr__(self, "K", _check_symmetric_psd("K", self.K, strict=False))
-        if self.force_weight < 0.0:
-            raise ValueError("force_weight must be non-negative")
-        object.__setattr__(self, "M_inv", np.linalg.inv(self.M))
-
-    @staticmethod
-    def diagonal(
-        *,
-        mass: float = 8.0,
-        inertia: float = 0.5,
-        k_trans: float = 400.0,
-        k_rot: float = 20.0,
-        force_weight: float = 1.0,
-    ) -> "AdmittanceParams":
-        """Critically damped diagonal parameters, D = 2 sqrt(K M) per axis."""
-        if mass <= 0.0 or inertia <= 0.0:
-            raise ValueError("mass and inertia must be strictly positive")
-        if k_trans < 0.0 or k_rot < 0.0:
-            raise ValueError("k_trans and k_rot must be non-negative")
-        m = np.array([mass] * 3 + [inertia] * 3)
-        k = np.array([k_trans] * 3 + [k_rot] * 3)
-        return AdmittanceParams(
-            M=np.diag(m),
-            D=np.diag(2.0 * np.sqrt(k * m)),
-            K=np.diag(k),
-            force_weight=force_weight,
-        )
+        check_fields(self, positive="mass inertia", non_negative="k_trans k_rot force_weight")
+        m = np.array([self.mass] * 3 + [self.inertia] * 3, dtype=float)
+        k = np.array([self.k_trans] * 3 + [self.k_rot] * 3, dtype=float)
+        object.__setattr__(self, "m_inv", 1.0 / m)
+        object.__setattr__(self, "d", 2.0 * np.sqrt(k * m))
+        object.__setattr__(self, "k", k)
 
 
 def rotation_log(rotation: np.ndarray) -> np.ndarray:
@@ -124,15 +97,13 @@ def admittance_accel(
     F_ext is the (force, torque) 6-vector, already expressed in the base
     frame (see transform_wrench).
     """
-    spring = params.K @ pose_error(x_des, x)
-    damper = params.D @ (np.asarray(x_dot_des, dtype=float) - np.asarray(x_dot, dtype=float))
-    return params.M_inv @ (damper + spring - np.asarray(F_ext, dtype=float)) + np.asarray(x_ddot_des, dtype=float)
+    spring = params.k * pose_error(x_des, x)
+    damper = params.d * (np.asarray(x_dot_des, dtype=float) - np.asarray(x_dot, dtype=float))
+    return params.m_inv * (damper + spring - np.asarray(F_ext, dtype=float)) + np.asarray(x_ddot_des, dtype=float)
 
 
 def integrate_velocity(x_ddot_adm: np.ndarray, x_dot_current: np.ndarray, T_r: float) -> np.ndarray:
     """One explicit Euler step: x_dot_adm = x_dot_current + x_ddot_adm * T_r."""
-    if T_r <= 0.0:
-        raise ValueError("T_r must be positive")
     return np.asarray(x_dot_current, dtype=float) + np.asarray(x_ddot_adm, dtype=float) * T_r
 
 

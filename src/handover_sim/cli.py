@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -72,7 +73,7 @@ def _scenario_from_args(args) -> Scenario:
         raise UsageError(f"unknown scenario field(s): {', '.join(unknown)}")
     try:
         return Scenario(**data)
-    except ValueError as exc:  # a value or nested key the scenario rejects
+    except (TypeError, ValueError) as exc:  # a value or nested key the scenario rejects
         raise UsageError(str(exc)) from exc
 
 
@@ -85,9 +86,11 @@ def _write_manifest(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    out = _out_dir(args)
     if args.sequences < 1:
         raise UsageError("--sequences must be >= 1")
+    if not (math.isfinite(args.rate) and args.rate > 0.0):
+        raise UsageError(f"--rate must be finite and > 0, got {args.rate}")
+    out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     counts = {0: 0, 1: 0}
     names = []
@@ -120,23 +123,27 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if not 0.0 < args.val_fraction < 1.0:
         raise UsageError("--val-fraction must lie in (0, 1)")
+    if args.hidden < 1:
+        raise UsageError("--hidden must be >= 1")
+    try:
+        cfg = TrainingConfig(
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            patience=args.patience,
+            balancing=args.balancing,
+            window=args.window,
+            stride=args.stride,
+            seed=args.seed or 0,
+            max_epochs=args.epochs,
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid training flag: {exc}") from exc
     out = _out_dir(args)
     dataset_dir = Path(args.dataset)
     files = sorted(dataset_dir.glob("seq_*.csv"))
     if not files:
         raise FileNotFoundError(f"no sequence CSVs found in {dataset_dir}")
     sequences = [load_sequence_csv(f) for f in files]
-
-    cfg = TrainingConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        patience=args.patience,
-        balancing=args.balancing,
-        window=args.window,
-        stride=args.stride,
-        seed=args.seed or 0,
-        max_epochs=args.epochs,
-    )
     n_val = max(1, int(len(sequences) * args.val_fraction))
     val_set = window_dataset(sequences[:n_val], cfg.window, cfg.stride)
     train_set = window_dataset(sequences[n_val:], cfg.window, cfg.stride)

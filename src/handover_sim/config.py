@@ -3,11 +3,14 @@
 The default arm is a 6-DoF UR10e-class manipulator described by standard DH
 rows. Safety constants and admittance gains default in SafetyParams and
 AdmittanceParams; scenario files and --override flags can adjust any of them.
+Every parameter type checks its own fields with check_fields when it is built.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ __all__ = [
     "default_manipulator",
     "apply_overrides",
     "load_json",
+    "check_fields",
 ]
 
 # Standard DH rows (a, alpha, d, theta offset) approximating a UR10e-class arm.
@@ -77,3 +81,27 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 def load_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def check_fields(obj, *, positive: str = "", non_negative: str = "", finite: str = "", integers: str = "") -> None:
+    """Raise ValueError naming the first listed field of obj its consumer cannot use.
+
+    Each argument is a space-separated list of field names. Every listed field
+    must be a finite real number, so NaN and inf fail; fields listed under
+    positive or non_negative must also be > 0 or >= 0, and fields listed under
+    integers must also be integers.
+    """
+    for names, need, ok in (
+        (positive, "finite and > 0", lambda v: v > 0.0),
+        (non_negative, "finite and >= 0", lambda v: v >= 0.0),
+        (finite, "finite", lambda v: True),
+        (integers, "an integer", lambda v: isinstance(v, numbers.Integral)),
+    ):
+        for name in names.split():
+            value = getattr(obj, name)
+            try:
+                good = isinstance(value, numbers.Real) and math.isfinite(value) and ok(value)
+            except OverflowError:  # an integer beyond the float range
+                good = False
+            if not good:
+                raise ValueError(f"{name} must be {need}, got {value!r}")

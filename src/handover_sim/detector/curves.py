@@ -12,9 +12,12 @@ started, and stay 1 for the remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..config import check_fields
 
 __all__ = [
     "LoadCurveParams",
@@ -41,17 +44,13 @@ class LoadCurveParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.f_L0 <= 0.0:
-            raise ValueError("f_L0 must be strictly positive")
-        if self.pull_magnitude <= 0.0:
-            raise ValueError("pull_magnitude must be strictly positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.transfer_duration <= 0.0 or self.pull_duration <= 0.0:
-            raise ValueError("durations must be strictly positive")
-        object.__setattr__(
-            self, "disturbance_events", tuple(tuple(map(float, ev)) for ev in self.disturbance_events)
-        )
+        check_fields(self, positive="f_L0 transfer_duration pull_magnitude pull_duration",
+                     non_negative="noise_sigma seed", finite="engagement_time dwell_after_transfer",
+                     integers="seed")
+        events = tuple((float(start), float(peak), float(width)) for start, peak, width in self.disturbance_events)
+        if not all(width > 0.0 and math.isfinite(width) for _, _, width in events):
+            raise ValueError("every disturbance width must be finite and > 0")
+        object.__setattr__(self, "disturbance_events", events)
 
     @property
     def pull_onset(self) -> float:
@@ -94,8 +93,6 @@ def _scheduled_load(p: LoadCurveParams, t: np.ndarray) -> tuple[np.ndarray, np.n
 def _disturbance_pulses(p: LoadCurveParams, t: np.ndarray) -> np.ndarray:
     pulses = np.zeros_like(t)
     for start, peak, width in p.disturbance_events:
-        if width <= 0.0:
-            raise ValueError("disturbance width must be positive")
         inside = (t >= start) & (t < start + width)
         pulses[inside] += peak * np.sin(np.pi * (t[inside] - start) / width)
     return pulses

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import check_fields
 from .dataset import WindowDataset, balance_dataset
 from .network import (
     NetworkParams,
@@ -51,14 +52,8 @@ class TrainingConfig:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.window < 1 or self.max_epochs < 1:
-            raise ValueError("sizes must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        check_fields(self, positive="batch_size learning_rate window stride max_epochs",
+                     non_negative="patience seed", integers="batch_size window stride max_epochs patience seed")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .admittance import AdmittanceParams, admittance_accel, integrate_velocity, transform_wrench
-from .config import default_manipulator
+from .config import check_fields, default_manipulator
 from .detector.curves import LoadCurveParams, generate_handover_sequence, sample_curve_params
 from .detector.network import NetworkParams
 from .detector.runtime import RELEASE, ReleaseMonitor, ThresholdReleaseMonitor
@@ -80,22 +80,25 @@ _DEFAULT_GRASP_Q = (1.57, -1.0, 1.2, -1.77, -1.57, 0.0)
 _DEFAULT_HAND = (0.65, -0.45, 0.55)
 
 
-def _pd_gains(*, kp: float = 20.0, kd: float = 0.1) -> tuple[float, float]:
-    """Checked PD baseline gains.
+@dataclass(frozen=True)
+class _PDGains:
+    """PD baseline gains.
 
     kd is kept well below 1: with a velocity-resolved plant the damping term
     feeds back the previous command, and kd near 1 sustains a cycle-to-cycle
     alternation that saturates the acceleration limits.
     """
-    kp, kd = float(kp), float(kd)
-    if kp <= 0.0 or kd < 0.0:
-        raise ValueError("kp must be positive and kd non-negative")
-    return kp, kd
+
+    kp: float = 20.0
+    kd: float = 0.1
+
+    def __post_init__(self) -> None:
+        check_fields(self, positive="kp", non_negative="kd")
 
 
-def _build(group: str, known, build, values: dict, **fixed):
+def _build(group: str, build, values: dict, **fixed):
     """build(**values, **fixed); an unknown key or a rejected value is a ValueError naming the group."""
-    unknown = sorted(set(values) - set(known))
+    unknown = sorted(set(values) - {f.name for f in fields(build) if f.init})
     if unknown:
         raise ValueError(f"unknown scenario key(s): {', '.join(f'{group}.{k}' for k in unknown)}")
     try:
@@ -104,14 +107,27 @@ def _build(group: str, known, build, values: dict, **fixed):
         raise ValueError(f"invalid scenario {group}: {exc}") from exc
 
 
+def _finite(name: str, values, length: int | None = None) -> tuple:
+    """values as a tuple of finite floats, of the given length if one is given."""
+    try:
+        out = tuple(map(float, values))
+        ok = all(map(math.isfinite, out)) and length in (None, len(out))
+    except (TypeError, ValueError):  # not a list of numbers
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {length or 'a list of'} finite numbers, got {values!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything that defines one reproducible episode.
 
-    Construction builds and checks every nested dict once, into non-field
+    Construction is the one place that decides validity: it checks every
+    top-level field and builds every nested dict once, into non-field
     attributes that to_dict(), replace() and equality do not see:
     ``safety_params``, ``admittance_params``, ``pd_kp``/``pd_kd`` and the
-    curve that curve_params() returns.
+    curve that curve_params() returns. What reads them checks nothing again.
     """
 
     object_mass: float = 1.0
@@ -136,34 +152,30 @@ class Scenario:
     pd_gains: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.control_rate <= 0.0:
-            raise ValueError("control_rate must be positive")
+        check_fields(self, positive="object_mass control_rate plan_duration detector_period",
+                     non_negative="retreat_duration release_timeout episode_tail pinv_damping seed",
+                     finite="receiver_engagement_time", integers="detector_period seed")
         if "T_r" in self.safety:
             raise ValueError("safety.T_r is 1/control_rate; set control_rate instead")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):
             raise ValueError(f"unknown release mode {self.release!r}")
-        if self.plan_duration <= 0.0 or self.retreat_duration < 0.0:
-            raise ValueError("plan_duration must be positive, retreat_duration non-negative")
-        if self.detector_period < 1:
-            raise ValueError("detector_period must be >= 1")
-        if self.pinv_damping < 0.0:
-            raise ValueError("pinv_damping must be non-negative")
-        object.__setattr__(self, "grasp_q", tuple(float(v) for v in self.grasp_q))
-        object.__setattr__(self, "handover_hand_pose", tuple(float(v) for v in self.handover_hand_pose))
-        object.__setattr__(self, "hand_motion", tuple(tuple(map(float, w)) for w in self.hand_motion))
-        object.__setattr__(self, "disturbances", tuple(tuple(map(float, d)) for d in self.disturbances))
+        object.__setattr__(self, "grasp_q", _finite("grasp_q", self.grasp_q))
+        object.__setattr__(self, "handover_hand_pose", _finite("handover_hand_pose", self.handover_hand_pose, 3))
+        object.__setattr__(self, "hand_motion", tuple(
+            _finite("hand_motion row (t, x, y, z)", w, 4) for w in self.hand_motion
+        ))
+        object.__setattr__(self, "disturbances", tuple(
+            _finite("disturbances row (start, peak, width)", d, 3) for d in self.disturbances
+        ))
         object.__setattr__(self, "safety_params", _build(
-            "safety", [f.name for f in fields(SafetyParams)], SafetyParams, self.safety,
-            T_r=1.0 / self.control_rate,
+            "safety", SafetyParams, self.safety, T_r=1.0 / self.control_rate
         ))
-        object.__setattr__(self, "admittance_params", _build(
-            "admittance", AdmittanceParams.diagonal.__kwdefaults__, AdmittanceParams.diagonal, self.admittance
-        ))
-        kp, kd = _build("pd_gains", _pd_gains.__kwdefaults__, _pd_gains, self.pd_gains)
-        object.__setattr__(self, "pd_kp", kp)
-        object.__setattr__(self, "pd_kd", kd)
+        object.__setattr__(self, "admittance_params", _build("admittance", AdmittanceParams, self.admittance))
+        gains = _build("pd_gains", _PDGains, self.pd_gains)
+        object.__setattr__(self, "pd_kp", float(gains.kp))
+        object.__setattr__(self, "pd_kd", float(gains.kd))
         curve = {
             "f_L0": self.object_mass * GRAVITY,
             "engagement_time": self.receiver_engagement_time,
@@ -171,9 +183,7 @@ class Scenario:
             "seed": self.seed,
             **self.load_curve,
         }
-        object.__setattr__(self, "_curve", _build(
-            "load_curve", [f.name for f in fields(LoadCurveParams)], LoadCurveParams, curve
-        ))
+        object.__setattr__(self, "_curve", _build("load_curve", LoadCurveParams, curve))
         self.episode_duration()  # rejects an engagement outside the episode
 
     def curve_params(self) -> LoadCurveParams:
@@ -241,8 +251,6 @@ class _HandPath:
             self.points = np.array([scenario.handover_hand_pose], dtype=float)
         else:
             rows = np.asarray(scenario.hand_motion, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != 4:
-                raise ValueError("hand_motion waypoints must be (t, x, y, z) rows")
             rows = rows[np.argsort(rows[:, 0])]
             self.times = rows[:, 0].tolist()
             self.points = rows[:, 1:]

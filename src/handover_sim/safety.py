@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_fields
 from .kinematics import Frames, ManipulatorModel, chain_frames, cross_rows
 
 __all__ = [
@@ -62,12 +63,8 @@ class SafetyParams:
     human_radius: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("a_max", "T_r", "F_max", "p_max", "A", "k_spring", "m_h", "human_radius"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name in ("C", "Z_d", "Z_r"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        check_fields(self, positive="a_max T_r F_max p_max A k_spring m_h human_radius",
+                     non_negative="C Z_d Z_r")
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,6 @@ def optimal_alpha(
     cannot brake hard enough within one cycle), the result saturates to the
     closest value satisfying the lower bounds and is flagged infeasible.
     """
-    if T_r <= 0.0:
-        raise ValueError("T_r must be positive")
     q_dot_adm = np.asarray(q_dot_adm, dtype=float).ravel()
     q_dot_current = np.asarray(q_dot_current, dtype=float).ravel()
     rows = np.atleast_2d(np.asarray(per_link_rows, dtype=float))

@@ -135,6 +135,4 @@ def advance_parameter(p: PathParameter, alpha: float, T_r: float) -> PathParamet
     """Advance s by one control cycle under the linear time law s' = s + alpha T_r."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if T_r <= 0.0:
-        raise ValueError("T_r must be positive")
     return PathParameter(s=min(p.t_final, p.s + alpha * T_r), s_dot=alpha, t_final=p.t_final)

@@ -149,7 +149,7 @@ def test_criterion_6_admittance_contracts(default_model):
     assert tracking_err <= 1e-3
 
     # static offset within 1% of K^-1 F after settling
-    params = AdmittanceParams.diagonal()
+    params = AdmittanceParams()
     force = np.array([12.0, -8.0, 5.0])
     from handover_sim.kinematics import damped_pinv
     from handover_sim.admittance import integrate_velocity

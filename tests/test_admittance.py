@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from handover_sim.admittance import (
     AdmittanceParams,
@@ -52,7 +55,7 @@ def test_pose_error_near_pi():
 # admittance acceleration
 
 def test_perfect_tracking_passes_reference_through():
-    params = AdmittanceParams.diagonal()
+    params = AdmittanceParams()
     x = Pose([0.3, -0.1, 0.5], rot_z(0.3))
     xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
     xdd_des = np.array([1.0, -2.0, 0.5, 0.1, 0.0, -0.3])
@@ -61,8 +64,9 @@ def test_perfect_tracking_passes_reference_through():
 
 
 def test_scalar_case():
-    # m=1, d=20, k=100, position error 0.01 m, no velocity error, no force
-    params = AdmittanceParams(M=np.eye(6), D=20.0 * np.eye(6), K=100.0 * np.eye(6))
+    # m=1, d=2 sqrt(k m)=20, k=100, position error 0.01 m, no velocity error, no force
+    params = AdmittanceParams(mass=1.0, inertia=1.0, k_trans=100.0, k_rot=100.0)
+    assert np.array_equal(params.d, np.full(6, 20.0))
     x_des = Pose([0.01, 0.0, 0.0], np.eye(3))
     x = Pose([0.0, 0.0, 0.0], np.eye(3))
     out = admittance_accel(params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6), np.zeros(6))
@@ -72,7 +76,7 @@ def test_scalar_case():
 
 def test_static_equilibrium_offset():
     # at rest with constant force, the displacement solving accel = 0 is K^-1 F
-    params = AdmittanceParams.diagonal(k_trans=400.0)
+    params = AdmittanceParams(k_trans=400.0)
     force = np.array([8.0, -4.0, 2.0])
     offset = force / 400.0
     x_des = Pose([0.0, 0.0, 0.0], np.eye(3))
@@ -85,7 +89,7 @@ def test_static_equilibrium_offset():
 
 
 def test_linearity_in_force():
-    params = AdmittanceParams.diagonal()
+    params = AdmittanceParams()
     x_des = Pose([0.1, 0.0, 0.2], rot_z(0.2))
     x = Pose([0.05, 0.01, 0.18], rot_z(0.15))
     xd_des = np.array([0.1, 0, 0, 0, 0, 0.02])
@@ -106,27 +110,51 @@ def test_linearity_in_force():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        AdmittanceParams(M=np.zeros((6, 6)), D=np.eye(6), K=np.eye(6))  # singular M
-    with pytest.raises(ValueError):
-        AdmittanceParams(M=np.eye(6), D=-np.eye(6), K=np.eye(6))  # negative damping
-    bad = np.eye(6)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        AdmittanceParams(M=bad, D=np.eye(6), K=np.eye(6))  # asymmetric
-    with pytest.raises(ValueError):
-        AdmittanceParams.diagonal(force_weight=-1.0)
+    with pytest.raises(ValueError, match="mass"):
+        AdmittanceParams(mass=0.0)  # singular mass
+    with pytest.raises(ValueError, match="force_weight"):
+        AdmittanceParams(force_weight=-1.0)
+    with pytest.raises(ValueError, match="k_rot"):
+        AdmittanceParams(k_rot=np.nan)
+
+
+def _matrix_accel(params, x_des, x_dot_des, x_ddot_des, x, x_dot, F_ext):
+    """The 6x6 matrix form the per-axis law replaced: M^-1 (D dv + K err - F) + xdd."""
+    m = np.array([params.mass] * 3 + [params.inertia] * 3)
+    k = np.array([params.k_trans] * 3 + [params.k_rot] * 3)
+    M_inv = np.linalg.inv(np.diag(m))
+    D = np.diag(2.0 * np.sqrt(k * m))
+    K = np.diag(k)
+    return M_inv @ (D @ (x_dot_des - x_dot) + K @ pose_error(x_des, x) - F_ext) + x_ddot_des
+
+
+_positive = st.floats(1e-3, 1e3)
+_stiffness = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+_vec = st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_positive, _positive, _stiffness, _stiffness, _vec, _vec, _vec, _vec, _vec, _vec)
+def test_per_axis_law_equals_matrix_form(mass, inertia, k_trans, k_rot, des, cur, xd_des, xd, xdd, F):
+    # the per-axis products reproduce the matrix form exactly (an exact zero
+    # may differ in sign, which == treats as equal)
+    params = AdmittanceParams(mass=mass, inertia=inertia, k_trans=k_trans, k_rot=k_rot)
+    x_des = Pose(des[:3], Rotation.from_rotvec(des[3:] * 1e-3).as_matrix())
+    x = Pose(cur[:3], Rotation.from_rotvec(cur[3:] * 1e-3).as_matrix())
+    args = (x_des, xd_des, xdd, x, xd, F)
+    assert np.array_equal(admittance_accel(params, *args), _matrix_accel(params, *args))
+    assert np.array_equal(params.m_inv, np.diag(np.linalg.inv(np.diag([mass] * 3 + [inertia] * 3))))
 
 
 @pytest.mark.parametrize("key, value", [
     ("mass", -1.0), ("mass", 0.0), ("inertia", -0.5), ("k_trans", -1.0), ("k_rot", -20.0),
 ])
 def test_diagonal_rejects_bad_values_before_sqrt(key, value):
-    # the check runs before D = 2 sqrt(K M), so numpy warns of no invalid sqrt
+    # the check runs before d = 2 sqrt(k m), so numpy warns of no invalid sqrt
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=key):
-            AdmittanceParams.diagonal(**{key: value})
+            AdmittanceParams(**{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +176,6 @@ def test_integrate_constant_accel_ramp():
     for _ in range(1000):
         xd = integrate_velocity(accel, xd, 0.002)
     assert np.allclose(xd, 2.5 * 2.0, atol=1e-12)  # exact for a constant field
-
-
-def test_integrate_requires_positive_step():
-    with pytest.raises(ValueError):
-        integrate_velocity(np.zeros(6), np.zeros(6), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +227,7 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
     mid-motion lag under acceleration is the designed compliance, so the
     tracking contract is about the settled state.
     """
-    params = AdmittanceParams.diagonal()
+    params = AdmittanceParams()
     start = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
     end = start + np.array([0.5, 0.25, -0.3, 0.2, 0.3, -0.4])
     spline = fit_cubic_spline(plan_quintic(start, end, duration, rate))
@@ -239,7 +262,7 @@ def test_static_compliance_converges(default_model):
     # constant pull on a held reference settles at K^-1 F within 1%
     force = np.array([10.0, -6.0, 4.0])
     start = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
-    params = AdmittanceParams.diagonal()
+    params = AdmittanceParams()
     x_ref = forward_kinematics(default_model, start)
     T_r = 1.0 / 500.0
     q = start.copy()

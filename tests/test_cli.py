@@ -49,6 +49,13 @@ def test_gen_data_rejects_zero_sequences(tmp_path):
     assert main(["gen-data", "--sequences", "0", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("rate", ["0", "NaN", "-500"])
+def test_gen_data_bad_rate_is_usage_error(tmp_path, capsys, rate):
+    assert main(["gen-data", "--sequences", "1", f"--rate={rate}", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "--rate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_window_count_follows_floor_law_on_generated_data(tmp_path):
     assert main(["gen-data", "--sequences", "3", "--seed", "1", "--out", str(tmp_path)]) == EXIT_OK
     seqs = [load_sequence_csv(p) for p in sorted(tmp_path.glob("seq_*.csv"))]
@@ -133,6 +140,12 @@ def test_unknown_nested_scenario_key_is_usage_error(tmp_path, capsys, command, k
     ("safety.a_max", "-1"),
     ("admittance.mass", "-1"),
     ("load_curve.f_L0", "-1"),
+    ("pd_gains.kd", "NaN"),
+    # a NaN a_max made every SSM limit NaN, which compares false, so the ISO
+    # rows dropped out of the scaling and the episode ran with 0 violations
+    ("safety.a_max", "NaN"),
+    ("admittance.k_trans", "NaN"),
+    ("load_curve.noise_sigma", "NaN"),
 ])
 def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command, key, value):
     # every nested value is checked when the scenario is built, before any episode runs
@@ -144,6 +157,41 @@ def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command,
     group, name = key.split(".")
     err = capsys.readouterr().err
     assert f"scenario {group}" in err and name in err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("overrides, name", [
+    ("grasp_q=[0,NaN,0,0,0,0]", "grasp_q"),
+    ("handover_hand_pose=[NaN,0,0.5]", "handover_hand_pose"),
+    ("hand_motion=[[0,1,2]]", "hand_motion"),
+    ("hand_motion=[[0,0.7,-0.4,0.5],[1,0.65,NaN,0.55]]", "hand_motion"),
+    ("disturbances=[[1.0,2.0]]", "disturbances"),
+    ("disturbances=[[1.0,NaN,0.1]]", "disturbances"),
+    ("disturbances=[[1.0,2.0,0]]", "width"),
+    ("disturbances=[[1.0,2.0,-0.1]]", "width"),
+    ("control_rate=NaN", "control_rate"),
+    pytest.param(f"control_rate=1{'0' * 400}", "control_rate", id="control_rate=1e400-as-int"),
+    ("plan_duration=NaN", "plan_duration"),
+    ("receiver_engagement_time=NaN", "receiver_engagement_time"),
+    ("pd_gains.kp=NaN", "kp"),
+    ("object_mass=-1 load_curve.f_L0=5", "object_mass"),
+    ("episode_tail=-1", "episode_tail"),
+    ("detector_period=2.5", "detector_period"),
+    ("detector_period=0", "detector_period"),
+    ("seed=1.5", "seed"),
+    ("seed=-1", "seed"),
+    ("load_curve.seed=1.5", "seed"),
+])
+def test_invalid_top_level_scenario_value_is_usage_error(tmp_path, capsys, command, overrides, name):
+    # top-level values are checked where the scenario is built, before any episode runs
+    scenario = write_scenario(tmp_path / "scenario.json")
+    flags = ["--controller", "pd"] if command == "simulate" else ["--episodes", "1", "--arms", "baseline-only"]
+    for item in overrides.split():
+        flags += ["--override", item]
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"), *flags])
+    assert code == EXIT_USAGE
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
@@ -221,6 +269,23 @@ def test_train_val_fraction_outside_unit_interval_is_usage_error(tmp_path, capsy
                  f"--val-fraction={fraction}", "--epochs", "1", "--window", "64", "--stride", "32"])
     assert code == EXIT_USAGE
     assert "--val-fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--batch-size", "batch_size"),
+    ("--window", "window"),
+    ("--stride", "stride"),
+    ("--epochs", "max_epochs"),
+    ("--learning-rate", "learning_rate"),
+    ("--hidden", "--hidden"),
+])
+def test_train_rejected_flag_is_usage_error(tmp_path, capsys, flag, name):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--sequences", "2", "--seed", "2", "--out", str(data_dir)]) == EXIT_OK
+    code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"), f"{flag}=0"])
+    assert code == EXIT_USAGE
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_missing_dataset(tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from handover_sim import harness
+from handover_sim.admittance import AdmittanceParams
 from handover_sim.detector.curves import LoadCurveParams
+from handover_sim.detector.training import TrainingConfig
 from handover_sim.harness import (
     FAILED_RELEASE,
     PREMATURE_DROP,
@@ -336,7 +338,7 @@ def test_scenario_builds_episode_parameters_once(monkeypatch):
     sc = quick_scenario(control_rate=1000.0, safety={"a_max": 1.0}, admittance={"mass": 6.0},
                         load_curve={"noise_sigma": 0.0})
     assert sc.safety_params == SafetyParams(a_max=1.0, T_r=0.001)
-    assert sc.admittance_params.M[0, 0] == 6.0 and sc.admittance_params.K[0, 0] == 400.0
+    assert sc.admittance_params == AdmittanceParams(mass=6.0)
     assert sc.curve_params() is sc.curve_params() and sc.curve_params().noise_sigma == 0.0
     assert dataclasses.replace(sc, control_rate=500.0).safety_params.T_r == 0.002
     for name, values in [
@@ -354,6 +356,24 @@ def test_scenario_builds_episode_parameters_once(monkeypatch):
     for name in ("SafetyParams", "AdmittanceParams", "LoadCurveParams"):
         monkeypatch.setattr(harness, name, None)
     assert run_handover(sc).metrics.outcome == SUCCESS
+
+
+# Every float field of every parameter type, read off the dataclasses, so a
+# field added later is covered without editing this list.
+_REQUIRED = {LoadCurveParams: {"f_L0": 5.0}}
+_FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (Scenario, SafetyParams, AdmittanceParams, LoadCurveParams, harness._PDGains, TrainingConfig)
+    for f in dataclasses.fields(cls)
+    if f.init and f.type in ("float", float)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in _FLOAT_FIELDS])
+def test_every_float_field_rejects_non_finite(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{**_REQUIRED.get(cls, {}), name: value})
 
 
 def test_reaction_time_follows_control_rate():
