@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import apply_overrides, load_json
+from .config import apply_overrides, default_manipulator, load_json
 from .detector.curves import generate_handover_sequence, sample_curve_params
 from .detector.dataset import load_sequence_csv, save_sequence_csv, window_dataset
 from .detector.network import init_network, load_weights, save_weights
@@ -72,9 +72,13 @@ def _scenario_from_args(args) -> Scenario:
     if unknown:
         raise UsageError(f"unknown scenario field(s): {', '.join(unknown)}")
     try:
-        return Scenario(**data)
+        scenario = Scenario(**data)
     except (TypeError, ValueError) as exc:  # a value or nested key the scenario rejects
         raise UsageError(str(exc)) from exc
+    joints = default_manipulator().joint_count  # the arm every command runs
+    if len(scenario.grasp_q) != joints:
+        raise UsageError(f"grasp_q must be {joints} finite numbers, got {scenario.grasp_q!r}")
+    return scenario
 
 
 def _write_manifest(path: Path, payload: dict) -> None:

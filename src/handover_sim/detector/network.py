@@ -132,12 +132,34 @@ def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray
     return flat[:size].reshape(shape)
 
 
+def _lstm_cell(A, c_prev, c, tanh_c, h, ig):
+    """One LSTM step in place on its gate block A = bias + x W_x + h_prev W_h.
+
+    Activates A (tanh candidate, four-op sigmoid gates) and writes
+    c = c_prev*f + i*g, tanh_c = tanh(c) and h = o*tanh_c, with ig as scratch;
+    c may be c_prev and tanh_c may be h.
+    """
+    H = ig.shape[-1]
+    np.tanh(A[:, :H], out=A[:, :H])
+    s = A[:, H:]
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):  # sigmoid saturates cleanly at 0
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
+    np.multiply(c_prev, f, out=c)
+    c += np.multiply(i, g, out=ig)
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
 def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
-    # Each timestep's input projection goes straight into its gate row, the
-    # gate activations overwrite it in place, and c, tanh(c) and h are
-    # written straight into their step rows. Given a store, every step's row
-    # is kept (the backprop cache) in buffers drawn from it; without one, one
-    # gate row and two alternating state rows suffice.
+    # Each timestep's input projection goes straight into its gate row, and
+    # _lstm_cell activates it in place and writes c, tanh(c) and h straight
+    # into their step rows. Given a store, every step's row is kept (the
+    # backprop cache) in buffers drawn from it; without one, one gate row and
+    # two alternating state rows suffice.
     keep = store is not None
     buffers = store if keep else {}
     dtype = params.W_lstm.dtype
@@ -163,29 +185,19 @@ def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
         x2[1] = 0.0
         a2 = _buffer(buffers, "a2", (2, 4 * H), dtype)
 
-    with np.errstate(over="ignore"):  # sigmoid saturates cleanly at 0
-        for t in range(T):
-            A = GIFO[t if keep else 0]
-            if pad:
-                x2[0] = X_tbf[t, 0]
-                np.matmul(x2, W_x, out=a2)
-                np.add(a2[:1], bias, out=A)
-            else:
-                np.matmul(X_tbf[t], W_x, out=A)
-                A += bias
-            A += np.matmul(h, W_h, out=hW)
-            np.tanh(A[:, :H], out=A[:, :H])
-            s = A[:, H:]
-            np.negative(s, out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
-            g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
-            k = t % rows
-            c = np.multiply(c, f, out=C[k])
-            c += np.multiply(i, g, out=ig)
-            np.tanh(c, out=Ct[k])
-            h = np.multiply(o, Ct[k], out=Hout[k])
+    for t in range(T):
+        A = GIFO[t if keep else 0]
+        if pad:
+            x2[0] = X_tbf[t, 0]
+            np.matmul(x2, W_x, out=a2)
+            np.add(a2[:1], bias, out=A)
+        else:
+            np.matmul(X_tbf[t], W_x, out=A)
+            A += bias
+        A += np.matmul(h, W_h, out=hW)
+        k = t % rows
+        _lstm_cell(A, c, C[k], Ct[k], Hout[k], ig)
+        c, h = C[k], Hout[k]
     cache = {"X_tbf": X_tbf, "GIFO": GIFO, "C": C, "Ct": Ct, "Hout": Hout} if keep else None
     return h, cache
 

@@ -4,12 +4,13 @@ ReleaseMonitor scores the newest window of readings every period-th reading
 and opens the gripper once the open-class score clears the threshold for a
 required number of consecutive inferences. The windows it will score overlap:
 with window W and period P, ceil(W/P) of them are in flight at any reading.
-Each keeps its own LSTM state, one row of a state block. A reading is
-projected once, queued, and stepped once per started window that holds it,
-all those windows advancing together; no W-row buffer of readings or
-projections is kept. The block advances at every scoring push and whenever
-MAX_PENDING_ROWS readings have queued, so a period's cell steps are spread
-over its pushes and no control cycle pays for all of them.
+Each keeps its own LSTM state, one row of a state block in the weights' own
+dtype. A reading is projected once, queued, and stepped once per started
+window that holds it, all those windows advancing together through the
+network module's one LSTM cell; no W-row buffer of readings or projections is
+kept. The block advances at every scoring push and whenever MAX_PENDING_ROWS
+readings have queued, so a period's cell steps are spread over its pushes and
+no control cycle pays for all of them.
 
 ThresholdReleaseMonitor is the classical baseline: calibrate the object
 weight from the initial hold phase, then open once the measured load stays
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
-from .network import NetworkParams
+from .network import NetworkParams, _head_forward, _lstm_cell
 
 __all__ = ["ReleaseMonitor", "ThresholdReleaseMonitor", "HOLD", "RELEASE"]
 
@@ -36,7 +36,8 @@ MAX_PENDING_ROWS = 4
 
 class ReleaseMonitor:
     """Classifier over the newest window, scored every period-th reading;
-    decision debounced over consecutive hits."""
+    decision debounced over consecutive hits. Each score is bit-identical to
+    predict_batch(net, np.stack([window, zeros]))[0, 1]."""
 
     def __init__(
         self,
@@ -59,30 +60,27 @@ class ReleaseMonitor:
         self.threshold_prob = threshold_prob
         self.consecutive_required = consecutive_required
         self.period = period
-        self._hidden = net.hidden
-        self._features = net.input_size
-        # Split the fused LSTM matrix once and cast every weight to the float64
-        # state, so no step upcasts float32 weights; every buffer is
-        # preallocated.
-        H = self._hidden
-        W = net.W_lstm.astype(np.float64, copy=False)
-        self._bias = W[0]
-        self._W_x = W[1 : 1 + self._features]
-        self._W_h = W[1 + self._features :]
-        self._head = tuple(
-            a.astype(np.float64, copy=False)
-            for a in (net.W1, net.b1, net.W2, net.b2, net.W3, net.b3)
-        )
+        self._features = F = net.input_size
+        H, dtype = net.hidden, net.W_lstm.dtype
+        self._bias = net.W_lstm[0]
+        self._W_x = net.W_lstm[1 : 1 + F]
+        self._W_h = net.W_lstm[1 + F :]
+        # numpy runs a one-row product as gemv, which rounds differently from
+        # the gemm of a batch, so every product here has at least two rows: a
+        # reading is projected as [reading; 0], the block steps at least two
+        # rows and the head scores [h; 0].
+        self._x2 = np.zeros((2, F), dtype)
+        self._a2 = np.empty((2, 4 * H), dtype)
+        self._pair = np.zeros((2, H), dtype)
         # Bias + input projections of the readings pushed since the last
         # advance, and one state row per window in flight. Windows start every
         # period-th reading from the first whose window ends on a scoring push;
         # the n-th of them lives in row n % slots, so the windows started so
         # far fill a prefix of the block.
-        slots = -(-window // period)
-        self._pending = np.empty((min(period, MAX_PENDING_ROWS), 4 * H))
-        self._A = np.empty((slots, 4 * H))
-        self._h = np.zeros((slots, H))
-        self._gc = np.zeros((slots, 2 * H))
+        self._slots = slots = -(-window // period)
+        self._pending = np.empty((min(period, MAX_PENDING_ROWS), 4 * H), dtype)
+        self._A = np.empty((max(slots, 2), 4 * H), dtype)
+        self._h, self._c, self._ig = (np.zeros((max(slots, 2), H), dtype) for _ in range(3))
         self._first = (1 - window) % period   # reading that starts window 0
         self._count = 0      # readings pushed
         self._advanced = 0   # readings stepped through the state block
@@ -99,16 +97,7 @@ class ReleaseMonitor:
         scoring push and whenever MAX_PENDING_ROWS readings are pending, so
         no push runs more than that many cell steps.
         """
-        H, period, first = self._hidden, self.period, self._first
-        slots = self._h.shape[0]
-        # Each step is the textbook cell (A = row + h W_h, g = tanh,
-        # i/f/o = sigmoid, c = i*g + f*c, h = o*tanh(c)) computed in place on
-        # the live rows with the same float operations in the same order, so
-        # every row's score is bit-identical to the allocating per-row form.
-        # The stacked matmul runs one gemv per row, as h.dot(W_h) does; a
-        # plain (n, H) @ W_h gemm would round differently. g sits just before
-        # c in one buffer, so a single multiply by the adjacent [i | f] gates
-        # forms both i*g and f*c.
+        period, first, slots = self.period, self._first, self._slots
         for j in range(self._advanced, self._count):
             started = (j - first) // period + 1   # windows begun by reading j
             if started <= 0:
@@ -116,27 +105,18 @@ class ReleaseMonitor:
             if (j - first) % period == 0:
                 slot = (started - 1) % slots
                 self._h[slot] = 0.0
-                self._gc[slot, H:] = 0.0
-            n = min(slots, started)
-            A, gc, h = self._A[:n], self._gc[:n], self._h[:n]
-            g, c = gc[:, :H], gc[:, H:]
-            np.matmul(h[:, None, :], self._W_h, out=A[:, None, :])
-            np.add(self._pending[j - self._advanced], A, out=A)
-            np.tanh(A[:, :H], out=g)
-            _sigmoid(A[:, H:], out=A[:, H:])
-            np.multiply(A[:, H : 3 * H], gc, out=gc)
-            np.add(g, c, out=c)
-            np.tanh(c, out=h)
-            np.multiply(A[:, 3 * H :], h, out=h)
+                self._c[slot] = 0.0
+            n = max(2, min(slots, started))
+            A, c, h = self._A[:n], self._c[:n], self._h[:n]
+            np.matmul(h, self._W_h, out=A)
+            A += self._pending[j - self._advanced]
+            _lstm_cell(A, c, c, h, h, self._ig[:n])
         self._advanced = self._count
         end = self._count - 1
         if end % period or self._count < self.window:
             return math.nan
-        h_last = self._h[(end + 1 - self.window - first) // period % slots]
-        W1, b1, W2, b2, W3, b3 = self._head
-        a1 = np.maximum(h_last @ W1 + b1, 0.0)
-        a2 = np.maximum(a1 @ W2 + b2, 0.0)
-        return float(_sigmoid(a2 @ W3 + b3)[1])
+        self._pair[0] = self._h[(end + 1 - self.window - first) // period % slots]
+        return float(_head_forward(self.net, self._pair)[0][0, 1])
 
     def step(self, reading: np.ndarray) -> str:
         """Push one reading; score every period-th push and debounce.
@@ -149,8 +129,9 @@ class ReleaseMonitor:
         self.output = math.nan
         if self._released:
             return RELEASE
-        reading = np.asarray(reading, dtype=float).reshape(self._features)
-        self._pending[self._count - self._advanced] = self._bias + reading @ self._W_x
+        self._x2[0] = np.asarray(reading, dtype=float).reshape(self._features)
+        np.matmul(self._x2, self._W_x, out=self._a2)
+        np.add(self._a2[0], self._bias, out=self._pending[self._count - self._advanced])
         self._count += 1
         scoring = (self._count - 1) % self.period == 0
         if scoring or self._count - self._advanced == len(self._pending):

@@ -163,6 +163,7 @@ def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command,
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("overrides, name", [
     ("grasp_q=[0,NaN,0,0,0,0]", "grasp_q"),
+    ("grasp_q=[0,0,0]", "grasp_q"),
     ("handover_hand_pose=[NaN,0,0.5]", "handover_hand_pose"),
     ("hand_motion=[[0,1,2]]", "hand_motion"),
     ("hand_motion=[[0,0.7,-0.4,0.5],[1,0.65,NaN,0.55]]", "hand_motion"),

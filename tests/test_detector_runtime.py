@@ -1,18 +1,17 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
-from handover_sim.detector import runtime
+from handover_sim.detector import network, runtime
 from handover_sim.detector import (
     HOLD,
     RELEASE,
     LoadCurveParams,
-    NetworkParams,
     ReleaseMonitor,
     ThresholdReleaseMonitor,
     generate_handover_sequence,
@@ -72,29 +71,16 @@ def test_monitor_matches_direct_forward():
     for row in rows:
         mon.step(row)
     direct = predict_batch(mon.net, rows[None, -15:])[0]
-    assert abs(mon.output - direct[1]) < 1e-12
+    assert mon.output == direct[1]
 
 
-def reference_infer(net: NetworkParams, readings: np.ndarray) -> float:
-    """Oracle: the allocating per-step loop over one window of readings.
+def pair_score(net, window: np.ndarray) -> float:
+    """Oracle: predict_batch on the window padded to a pair with a zero window.
 
-    Rows are projected one at a time with the weights' own dtype against a
-    float64 state, oldest first, and the recurrence starts from zero state.
+    The monitor projects, steps and scores with at least two rows, so its
+    score equals this one bit for bit.
     """
-    H, F = net.hidden, net.input_size
-    bias, W_x, W_h = net.W_lstm[0], net.W_lstm[1 : 1 + F], net.W_lstm[1 + F :]
-    proj = np.array([bias + np.asarray(r, dtype=float) @ W_x for r in readings])
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for row in proj:
-        A = row + h @ W_h
-        g = np.tanh(A[:H])
-        ifo = expit(A[H:])
-        c = ifo[:H] * g + ifo[H : 2 * H] * c
-        h = ifo[2 * H :] * np.tanh(c)
-    a1 = np.maximum(h @ net.W1 + net.b1, 0.0)
-    a2 = np.maximum(a1 @ net.W2 + net.b2, 0.0)
-    return float(expit(a2 @ net.W3 + net.b3)[1])
+    return float(predict_batch(net, np.stack([window, np.zeros_like(window)]))[0, 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,7 +106,12 @@ def test_monitor_infer_equals_reference_loop(dtype, hidden, window, period, seed
     for k, reading in enumerate(readings):
         mon.step(reading)
         if k % period == 0 and k + 1 >= window:
-            assert mon.output == reference_infer(net, readings[k + 1 - window : k + 1])
+            w = readings[k + 1 - window : k + 1]
+            assert mon.output == pair_score(net, w)
+            # the head can round a last-bit change in h away, so compare the
+            # scored state row too
+            h_pair, _ = network._run_lstm(net, np.stack([w, np.zeros_like(w)]))
+            assert np.array_equal(mon._pair[0], h_pair[0])
         else:
             assert math.isnan(mon.output)
 
@@ -149,7 +140,7 @@ def test_monitors_sharing_weights_are_independent():
 
 # float.hex of the first 20 scores of a default-size monitor (window 500,
 # hidden 64, float32 weights), one inference after every 10th reading of a
-# synthetic handover trace, as computed by the allocating per-step loop.
+# synthetic handover trace, stepped in the weights' own dtype.
 GOLDEN_DEFAULT_SCORES = [
     "0x1.012e8884fc48ap-1", "0x1.012fd0de1da6ap-1", "0x1.0130b9a3943f4p-1",
     "0x1.01327f99a73dap-1", "0x1.0131ddb37765fp-1", "0x1.012ddce3a5fe7p-1",
@@ -178,20 +169,19 @@ def test_default_monitor_scores_pinned():
 
 
 def test_default_size_monitor_equals_reference_loop(monkeypatch):
-    # window 500, period 10, hidden 64: 50 slots step together; a plain gemm
-    # in place of the stacked per-row gemv moves some of these scores. Each
-    # cell step calls the sigmoid once with out=, so counting those calls
-    # shows how many rows a push steps and that only infer steps them.
+    # window 500, period 10, hidden 64: 50 slots step together in one gemm.
+    # Each call of the shared cell is one cell step of the block, so counting
+    # those calls shows how many rows a push steps and that only infer steps
+    # them.
     net, _ = load_weights(Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz")
     seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
     mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
     steps = {True: 0, False: 0}   # cell steps inside / outside infer
     inside = False
 
-    def counting_sigmoid(x, out=None):
-        if out is not None:
-            steps[inside] += 1
-        return expit(x, out=out)
+    def counting_cell(*args, cell=runtime._lstm_cell):
+        steps[inside] += 1
+        return cell(*args)
 
     def traced_infer(infer=mon.infer):
         nonlocal inside
@@ -201,7 +191,7 @@ def test_default_size_monitor_equals_reference_loop(monkeypatch):
         finally:
             inside = False
 
-    monkeypatch.setattr(runtime, "_sigmoid", counting_sigmoid)
+    monkeypatch.setattr(runtime, "_lstm_cell", counting_cell)
     monkeypatch.setattr(mon, "infer", traced_infer)
     scored = 0
     per_push = []
@@ -210,7 +200,7 @@ def test_default_size_monitor_equals_reference_loop(monkeypatch):
         mon.step(reading)
         per_push.append(steps[True] - before)
         if not math.isnan(mon.output):
-            assert mon.output == reference_infer(net, seq.wrench[k - 499 : k + 1]), k
+            assert mon.output == pair_score(net, seq.wrench[k - 499 : k + 1]), k
             scored += 1
     assert scored == 100
     assert steps[False] == 0
@@ -220,6 +210,24 @@ def test_default_size_monitor_equals_reference_loop(monkeypatch):
     # last reading is still pending
     assert sum(per_push) == len(seq.wrench) - 2
     assert [per_push[k] for k in range(11, 21)] == [0, 0, 0, 4, 0, 0, 0, 4, 0, 2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_monitor_saturating_readings_raise_no_warning(dtype):
+    # readings of about 1e4 drive gate pre-activations far past where exp
+    # overflows (about 88 in float32, 710 in float64); the sigmoid must
+    # saturate to 0 or 1 without an overflow warning, and the scores stay finite
+    net = init_network(hidden=8, dense1=8, dense2=4, seed=9, dtype=dtype)
+    readings = np.random.default_rng(9).normal(scale=1e4, size=(60, 6))
+    mon = ReleaseMonitor(net, window=20, consecutive_required=10**9, period=5)
+    scores = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reading in readings:
+            mon.step(reading)
+            if not math.isnan(mon.output):
+                scores.append(mon.output)
+    assert len(scores) == 8 and all(0.0 <= p <= 1.0 for p in scores)
 
 
 def test_monitor_debounce_and_absorbing():
