@@ -142,13 +142,13 @@ def test_monitors_sharing_weights_are_independent():
 # hidden 64, float32 weights), one inference after every 10th reading of a
 # synthetic handover trace, stepped in the weights' own dtype.
 GOLDEN_DEFAULT_SCORES = [
-    "0x1.012e8884fc48ap-1", "0x1.012fd0de1da6ap-1", "0x1.0130b9a3943f4p-1",
-    "0x1.01327f99a73dap-1", "0x1.0131ddb37765fp-1", "0x1.012ddce3a5fe7p-1",
-    "0x1.012f3a6b220a6p-1", "0x1.01349b96841c6p-1", "0x1.012d589277f1cp-1",
-    "0x1.012dda136c757p-1", "0x1.012bf73b6c59fp-1", "0x1.0131489e47d40p-1",
-    "0x1.01302147a4f7ep-1", "0x1.0138e101459c1p-1", "0x1.0136dc8c93c46p-1",
-    "0x1.0132184f73e12p-1", "0x1.0131215ca70fcp-1", "0x1.012fefadfa81bp-1",
-    "0x1.01299579d6126p-1", "0x1.012c76300cabdp-1",
+    "0x1.012e880000000p-1", "0x1.012fd00000000p-1", "0x1.0130ba0000000p-1",
+    "0x1.0132800000000p-1", "0x1.0131de0000000p-1", "0x1.012ddc0000000p-1",
+    "0x1.012f3a0000000p-1", "0x1.01349c0000000p-1", "0x1.012d5a0000000p-1",
+    "0x1.012dda0000000p-1", "0x1.012bf80000000p-1", "0x1.0131480000000p-1",
+    "0x1.0130220000000p-1", "0x1.0138e00000000p-1", "0x1.0136dc0000000p-1",
+    "0x1.0132180000000p-1", "0x1.0131220000000p-1", "0x1.012ff00000000p-1",
+    "0x1.0129960000000p-1", "0x1.012c760000000p-1",
 ]
 
 

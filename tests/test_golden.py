@@ -49,21 +49,22 @@ CRITERION_9_EPISODE = "cfaf4d65f7f8f756d51472a61f1915d05b4a0ca9117f7211a7b017e1c
 
 # (criterion-8 scenario index, arm) -> episode.csv digest, with its outcome
 CRITERION_8_EPISODES = {
-    (0, "proposed"): "aff2f0d6408b9851143ed1723245a898fddb5dc651ac30136ab628231c080cf5",  # success
+    (0, "proposed"): "3db6a2c47c6a728263c0b60ab5ecd4c6ade0c1c60a507157ecad23130bf71137",  # success
     (0, "baseline"): "6bdc296dbc96cc229644df22a44f22cb9d0e21b69a95ba2af614e6cd8d97158c",  # premature_drop
-    (5, "proposed"): "319d2f309925f6b080fff7b44281c966f2edd60e92709b22fa6bbec43dbc3d3a",  # success
+    (5, "proposed"): "70a31551397f62a100fdea9abd39f9228d342291aa6d93276fe43e2a3c71a433",  # success
     (5, "baseline"): "9fac987eed0f3174fb225c0ca9ed57c2d850b3188df6ffaf9678d9b107dff6a1",  # success
-    (55, "proposed"): "e7922dd5a26842cf99b0735be3b76822393926383b9f273403105bb54645cc20",  # premature_drop
+    (55, "proposed"): "68ec4156c83ef3af9960e14132a0490bb77d89642390e7d16ec47dd4972ea5bc",  # premature_drop
     (55, "baseline"): "20142ade1761d7f5908be3ebfc99f88c9e38cd57a558598c39c927c5dd55207f",  # success
 }
 
 # criterion-8 scenario index -> digest of the float64 bytes of the proposed
 # arm's det_out log column. episode.csv writes scores with {v:.9g}, so only
-# this digest sees a score that moves in its last bits.
+# this digest sees a score that moves in its last bits. The monitor steps the
+# float32 weights in float32, so each score is a float32 value widened.
 CRITERION_8_DET_OUT = {
-    0: "e90370c1be0bb4b61e50b0915cc4603da6aeac601884585ae6979c5209cb600c",  # 92 scores
-    5: "f744feda644fa3348c69cfe4e552beee2d8386a3384253735cdd940134d4bf95",  # 100 scores
-    55: "c5130cc0d354d23680115a63807595c89c07da7746fdbf4fa8438c1e150c617c",  # 55 scores
+    0: "19e80f4f6ec3b908b65ee1f03121463e1a0dadc48cd6fc2de6c765841de7f94d",  # 92 scores
+    5: "fe5e2d74c80de3775112b4f577bc8c0e34f9da9f4ef4fa487801ae55c528b7c3",  # 100 scores
+    55: "fe9a54c562d476ca73a1a711e54e9d053b3da5d0fb6f86614f2df541f2e6c21d",  # 55 scores
 }
 
 # evaluate_batch over criterion-8 scenarios 0 and 1, both arms
