@@ -40,15 +40,11 @@ _UR10E_QDD_MAX = [8.0] * 6
 
 def default_manipulator(payload_mass: float = 1.0) -> ManipulatorModel:
     """Six-DoF UR10e-class arm with documented approximate constants."""
-    qd = np.asarray(_UR10E_QD_MAX)
-    qdd = np.asarray(_UR10E_QDD_MAX)
     return ManipulatorModel(
         joint_count=6,
         dh_rows=np.asarray(_UR10E_DH),
-        q_dot_min=-qd,
-        q_dot_max=qd,
-        q_ddot_min=-qdd,
-        q_ddot_max=qdd,
+        q_dot_max=np.asarray(_UR10E_QD_MAX),
+        q_ddot_max=np.asarray(_UR10E_QDD_MAX),
         link_masses=np.asarray(_UR10E_LINK_MASSES),
         payload_mass=payload_mass,
     )

@@ -48,8 +48,8 @@ class LoadCurveParams:
                      non_negative="noise_sigma seed", finite="engagement_time dwell_after_transfer",
                      integers="seed")
         events = tuple((float(start), float(peak), float(width)) for start, peak, width in self.disturbance_events)
-        if not all(width > 0.0 and math.isfinite(width) for _, _, width in events):
-            raise ValueError("every disturbance width must be finite and > 0")
+        if not all(all(map(math.isfinite, event)) and event[2] > 0.0 for event in events):
+            raise ValueError("every disturbance (start, peak, width) must be finite, with width > 0")
         object.__setattr__(self, "disturbance_events", events)
 
     @property
@@ -167,6 +167,10 @@ def generate_handover_sequence(p: LoadCurveParams, duration: float, rate: float)
 
     wrench = noise.copy()
     wrench[:, 2] += load
+    # Every parameter is finite, but large ones can still overflow; noise is
+    # part of every wrench entry, so a finite wrench implies finite noise.
+    if not np.isfinite(wrench).all():
+        raise ValueError("force trace must be finite; a load, pulse or noise term overflowed")
     return ForceSequence(
         times=times,
         wrench=wrench,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ class NetworkParams:
     b3: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("W_lstm", "W1", "b1", "W2", "b2", "W3", "b3"):
+        for name in _ARRAY_NAMES:
             arr = np.asarray(getattr(self, name))
             if not np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float64)
@@ -76,18 +76,14 @@ class NetworkParams:
         return self.W_lstm.shape[0] - 1 - self.hidden
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "W_lstm": self.W_lstm,
-            "W1": self.W1,
-            "b1": self.b1,
-            "W2": self.W2,
-            "b2": self.b2,
-            "W3": self.W3,
-            "b3": self.b3,
-        }
+        return {name: getattr(self, name) for name in _ARRAY_NAMES}
 
     def astype(self, dtype) -> "NetworkParams":
         return NetworkParams(**{k: v.astype(dtype) for k, v in self.arrays().items()})
+
+
+# The field order is the order of the arrays in a weights file.
+_ARRAY_NAMES = tuple(f.name for f in fields(NetworkParams))
 
 
 def init_network(
@@ -342,8 +338,7 @@ def load_weights(path: str | Path) -> tuple[NetworkParams, dict]:
     with np.load(path, allow_pickle=False) as data:
         try:
             meta = json.loads(str(data["meta"]))
-            arrays = {name: data[name] for name in
-                      ("W_lstm", "W1", "b1", "W2", "b2", "W3", "b3")}
+            arrays = {name: data[name] for name in _ARRAY_NAMES}
         except KeyError as exc:
             raise ValueError(f"weights file {path} is missing entry {exc}") from exc
     try:

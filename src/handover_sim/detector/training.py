@@ -162,23 +162,25 @@ def train(
     return best_params, history
 
 
+def _scored_batches(params: NetworkParams, dataset: WindowDataset, batch_size: int):
+    """(labels, class scores) of the dataset's consecutive batches, in order."""
+    for start in range(0, len(dataset), batch_size):
+        X, labels = dataset.gather(range(start, min(start + batch_size, len(dataset))))
+        yield labels, predict_batch(params, X)
+
+
 def evaluate_loss(params: NetworkParams, dataset: WindowDataset, batch_size: int = 256) -> float:
     losses = []
     weights = []
-    for start in range(0, len(dataset), batch_size):
-        idx = list(range(start, min(start + batch_size, len(dataset))))
-        X, labels = dataset.gather(idx)
-        losses.append(bce_loss(one_hot(labels), predict_batch(params, X)))
-        weights.append(len(idx))
+    for labels, scores in _scored_batches(params, dataset, batch_size):
+        losses.append(bce_loss(one_hot(labels), scores))
+        weights.append(len(labels))
     return float(np.average(losses, weights=weights))
 
 
 def evaluate_accuracy(params: NetworkParams, dataset: WindowDataset, batch_size: int = 256) -> float:
     """Fraction of windows whose higher-scoring class matches the label."""
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        idx = list(range(start, min(start + batch_size, len(dataset))))
-        X, labels = dataset.gather(idx)
-        pred = np.argmax(predict_batch(params, X), axis=1)
-        correct += int(np.sum(pred == labels))
+    for labels, scores in _scored_batches(params, dataset, batch_size):
+        correct += int(np.sum(np.argmax(scores, axis=1) == labels))
     return correct / len(dataset)

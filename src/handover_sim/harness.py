@@ -271,31 +271,6 @@ class _HandPath:
 
 
 # ---------------------------------------------------------------------------
-# simulated wrist force/torque sensor
-
-class EpisodeSensor:
-    """Schedule-driven sensor trace for one episode.
-
-    While the gripper holds the object the reading is the generated transfer
-    curve (load, disturbances, noise); after opening, the load and impact
-    terms vanish and only sensor noise remains.
-    """
-
-    def __init__(self, curve: LoadCurveParams, duration: float, rate: float):
-        self.sequence = generate_handover_sequence(curve, duration, rate)
-        if not (np.isfinite(self.sequence.wrench).all() and np.isfinite(self.sequence.noise).all()):
-            raise ValueError("sensor trace must be finite")
-
-    def reading(self, cycle: int, gripper_open: bool) -> np.ndarray:
-        if gripper_open:
-            return self.sequence.noise[cycle]
-        return self.sequence.wrench[cycle]
-
-    def fraction(self, cycle: int) -> float:
-        return float(self.sequence.fraction[cycle])
-
-
-# ---------------------------------------------------------------------------
 # controllers
 
 def pd_controller(
@@ -409,7 +384,10 @@ def run_handover(
     curve = scenario.curve_params()
     duration = scenario.episode_duration()
     max_cycles = int(round(duration * scenario.control_rate))
-    sensor = EpisodeSensor(curve, duration + T_r, scenario.control_rate)
+    # The wrist sensor reads the generated transfer curve (load, disturbances,
+    # noise) while the gripper holds the object, and only its noise after
+    # opening; fraction is the ground truth of the transferred load.
+    trace = generate_handover_sequence(curve, duration + T_r, scenario.control_rate)
     hand = _HandPath(scenario)
 
     grasp_q = np.asarray(scenario.grasp_q, dtype=float)
@@ -462,7 +440,7 @@ def run_handover(
         tic = time.perf_counter()
 
         human = hand.state(t)
-        raw = sensor.reading(k, gripper_open)
+        raw = trace.noise[k] if gripper_open else trace.wrench[k]
 
         det_out = math.nan
         if not gripper_open:
@@ -471,7 +449,7 @@ def run_handover(
             if decision == RELEASE:
                 gripper_open = True
                 release_time = t
-                release_fraction = sensor.fraction(k)
+                release_fraction = float(trace.fraction[k])
                 stop_T = 0.0
                 retreat_T = 0.0
                 if scenario.retreat_duration > 0.0:
@@ -523,12 +501,8 @@ def run_handover(
             x_cur = pose_from_frames(model, cur_frames)
             qd_adm = pd_controller(q_des, qd_des, q, q_dot_meas, kp, kd)
 
-        lc = link_constraints(model, q, human, safety_params, m_r, frames=cur_frames)
-        result = optimal_alpha(
-            qd_adm, q_dot_meas, lc.rows, lc.v_max,
-            model.q_dot_min, model.q_dot_max, model.q_ddot_min, model.q_ddot_max,
-            T_r,
-        )
+        lc = link_constraints(model, cur_frames, human, safety_params, m_r)
+        result = optimal_alpha(qd_adm, q_dot_meas, lc.rows, lc.v_max, model.q_dot_max, model.q_ddot_max, T_r)
         alpha = result.alpha
         u = alpha * qd_adm
         directed = lc.rows @ u

@@ -17,10 +17,6 @@ __all__ = [
     "ManipulatorModel",
     "Pose",
     "SingularConfigurationError",
-    "forward_kinematics",
-    "jacobian",
-    "jacobian_dot",
-    "link_positions",
     "damped_pinv",
     "Frames",
     "chain_frames",
@@ -78,14 +74,14 @@ class ManipulatorModel:
 
     dh_rows holds one (link_length a, link_twist alpha, link_offset d,
     joint_angle_offset theta) tuple per joint. tool_transform is a 4x4 rigid
-    transform from the last joint frame to the tool/sensor point.
+    transform from the last joint frame to the tool/sensor point. The joint
+    rate and acceleration limits are symmetric: |q_dot| <= q_dot_max and
+    |q_ddot| <= q_ddot_max.
     """
 
     joint_count: int
     dh_rows: np.ndarray
-    q_dot_min: np.ndarray
     q_dot_max: np.ndarray
-    q_ddot_min: np.ndarray
     q_ddot_max: np.ndarray
     link_masses: np.ndarray
     payload_mass: float = 0.0
@@ -97,15 +93,15 @@ class ManipulatorModel:
             raise ValueError("joint_count must be >= 1")
         object.__setattr__(self, "joint_count", n)
         object.__setattr__(self, "dh_rows", np.asarray(self.dh_rows, dtype=float).reshape(n, 4))
-        for name in ("q_dot_min", "q_dot_max", "q_ddot_min", "q_ddot_max", "link_masses"):
+        for name in ("q_dot_max", "q_ddot_max", "link_masses"):
             vec = np.asarray(getattr(self, name), dtype=float).ravel()
             if vec.shape != (n,):
                 raise ValueError(f"{name} must have length {n}, got {vec.shape}")
             object.__setattr__(self, name, vec)
-        if not (np.all(self.q_dot_min < 0.0) and np.all(self.q_dot_max > 0.0)):
-            raise ValueError("velocity bounds must satisfy q_dot_min < 0 < q_dot_max")
-        if not (np.all(self.q_ddot_min < 0.0) and np.all(self.q_ddot_max > 0.0)):
-            raise ValueError("acceleration bounds must satisfy q_ddot_min < 0 < q_ddot_max")
+        if not np.all(self.q_dot_max > 0.0):
+            raise ValueError("velocity bounds must satisfy q_dot_max > 0")
+        if not np.all(self.q_ddot_max > 0.0):
+            raise ValueError("acceleration bounds must satisfy q_ddot_max > 0")
         if np.any(self.link_masses < 0.0):
             raise ValueError("link masses must be non-negative")
         if self.payload_mass < 0.0:
@@ -203,23 +199,12 @@ def pose_from_frames(model: ManipulatorModel, frames: Frames) -> Pose:
     return pose
 
 
-def forward_kinematics(model: ManipulatorModel, q: np.ndarray) -> Pose:
-    """End-effector pose (tool transform included) for joint vector q."""
-    return pose_from_frames(model, chain_frames(model, model.check_q(q)))
-
-
-def link_positions(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
-    """Base-frame origin of every link frame plus the end point, (n+1, 3).
-
-    The first row is always the fixed base origin; the last row is the final
-    joint-frame origin (tool offset excluded), each rigidly attached to its
-    link.
-    """
-    return chain_frames(model, model.check_q(q)).origins
-
-
 def jacobian_from_frames(model: ManipulatorModel, frames: Frames) -> np.ndarray:
-    """Geometric Jacobian from chain geometry; (..., 6, n) for batched frames."""
+    """Geometric Jacobian (6 x n) at the tool point, base frame; (..., 6, n) for batched frames.
+
+    Rows 0-2 map joint rates to linear velocity (m/s), rows 3-5 to angular
+    velocity (rad/s).
+    """
     origins, axes, _, p_tool = frames
     J = np.empty(axes.shape[:-2] + (6, model.joint_count))
     J[..., :3, :] = cross_rows(axes, p_tool[..., None, :] - origins[..., :-1, :]).swapaxes(-1, -2)
@@ -227,16 +212,8 @@ def jacobian_from_frames(model: ManipulatorModel, frames: Frames) -> np.ndarray:
     return J
 
 
-def jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian (6 x n) at the tool point, base frame.
-
-    Rows 0-2 map joint rates to linear velocity (m/s), rows 3-5 to angular
-    velocity (rad/s).
-    """
-    return jacobian_from_frames(model, chain_frames(model, model.check_q(q)))
-
-
 def jacobian_dot_from_frames(model: ManipulatorModel, frames: Frames, q_dot: np.ndarray) -> np.ndarray:
+    """Time derivative of the geometric Jacobian along q_dot (6 x n), for one configuration."""
     q_dot = np.asarray(q_dot, dtype=float).ravel()
     if q_dot.shape != (model.joint_count,):
         raise ValueError(f"expected {model.joint_count} joint rates, got {q_dot.shape}")
@@ -265,11 +242,6 @@ def jacobian_dot_from_frames(model: ManipulatorModel, frames: Frames, q_dot: np.
     Jd[:3] = (moved[:n] + moved[n:]).T
     Jd[3:] = axes_dot.T
     return Jd
-
-
-def jacobian_dot(model: ManipulatorModel, q: np.ndarray, q_dot: np.ndarray) -> np.ndarray:
-    """Time derivative of the geometric Jacobian along q_dot (6 x n)."""
-    return jacobian_dot_from_frames(model, chain_frames(model, model.check_q(q)), q_dot)
 
 
 def damped_pinv(J: np.ndarray, lam: float = 1e-3) -> np.ndarray:

@@ -7,8 +7,8 @@ speed of every link toward the human hand, enforced each cycle by choosing
 the largest scaling factor alpha in [0, 1] that satisfies
 
     J_ri(q) q_dot_adm alpha <= v_max_i          for every link i
-    q_dot_min <= q_dot_adm alpha <= q_dot_max
-    q_ddot_min <= (q_dot_adm alpha - q_dot) / T_r <= q_ddot_max
+    |q_dot_adm alpha| <= q_dot_max
+    |q_dot_adm alpha - q_dot| / T_r <= q_ddot_max
 
 Because alpha is scalar, the linear program reduces to an exact interval
 intersection, solved here in closed form.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import check_fields
-from .kinematics import Frames, ManipulatorModel, chain_frames, cross_rows
+from .kinematics import Frames, ManipulatorModel, cross_rows
 
 __all__ = [
     "SafetyParams",
@@ -153,9 +153,7 @@ def optimal_alpha(
     q_dot_current: np.ndarray,
     per_link_rows: np.ndarray,
     v_max_per_link: np.ndarray,
-    q_dot_min: np.ndarray,
     q_dot_max: np.ndarray,
-    q_ddot_min: np.ndarray,
     q_ddot_max: np.ndarray,
     T_r: float,
 ) -> ScalingResult:
@@ -171,16 +169,11 @@ def optimal_alpha(
     q_dot_current = np.asarray(q_dot_current, dtype=float).ravel()
     rows = np.atleast_2d(np.asarray(per_link_rows, dtype=float))
     v_max = np.asarray(v_max_per_link, dtype=float).ravel()
+    rate_step = T_r * np.asarray(q_ddot_max, dtype=float)
 
     neg_adm = -q_dot_adm
     coeff = np.concatenate((rows @ q_dot_adm, q_dot_adm, neg_adm, q_dot_adm, neg_adm))
-    bound = np.concatenate((
-        v_max,
-        np.asarray(q_dot_max, dtype=float),
-        -np.asarray(q_dot_min, dtype=float),
-        q_dot_current + T_r * np.asarray(q_ddot_max, dtype=float),
-        -(q_dot_current + T_r * np.asarray(q_ddot_min, dtype=float)),
-    ))
+    bound = np.concatenate((v_max, q_dot_max, q_dot_max, q_dot_current + rate_step, -(q_dot_current - rate_step)))
     n = len(q_dot_adm)
     m = len(v_max)
     tags = _tag_index(m, n)
@@ -229,20 +222,21 @@ def _lower_triangle(n: int) -> np.ndarray:
 
 def link_constraints(
     model: ManipulatorModel,
-    q: np.ndarray,
+    frames: Frames,
     human: HumanState,
     params: SafetyParams,
     m_r: float,
-    frames: Frames | None = None,
 ) -> LinkConstraints:
     """Assemble the per-link directed rows and limits for one cycle.
+
+    frames is chain_frames of the current configuration.
 
     Each moving link point gets its own separation, closing speed, and limit
     (strictly stronger than limiting only the closest point). A link point
     coinciding with the hand gets a zero row: the direction is undefined and
     the contact-speed floor governs.
     """
-    origins, axes, _, _ = frames if frames is not None else chain_frames(model, model.check_q(q))
+    origins, axes, _, _ = frames
     n = model.joint_count
     pfl = pfl_limit(params, m_r)
     hand = human.hand_position

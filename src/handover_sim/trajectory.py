@@ -9,7 +9,7 @@ changing the geometric path.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -35,32 +35,30 @@ class QuinticTrajectory:
     q_ddot: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineTrajectory:
     """Natural cubic splines interpolating (q, q_dot, q_ddot) knot samples.
 
-    The three blocks are splined independently over the same knots; evaluation
-    is clamped to [start_time, end_time].
+    The three blocks are splined independently over the same knots. knots are
+    plain floats; coeffs holds one contiguous (4, 3n) block per interval, the
+    cubic's coefficients from the highest power down, for the columns
+    [q | q_dot | q_ddot]. Evaluation is clamped to [start_time, end_time].
     """
 
-    joint_count: int
-    _stacked: CubicSpline
-    # Evaluation tables for sample_spline: knots as floats, and one contiguous
-    # (4, 3n) coefficient block per interval.
-    _knots: list = field(init=False, repr=False, compare=False)
-    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    knots: list
+    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_knots", self._stacked.x.tolist())
-        object.__setattr__(self, "_coeffs", np.ascontiguousarray(self._stacked.c.transpose(1, 0, 2)))
+    @property
+    def joint_count(self) -> int:
+        return self.coeffs.shape[2] // 3
 
     @property
     def start_time(self) -> float:
-        return self._knots[0]
+        return self.knots[0]
 
     @property
     def end_time(self) -> float:
-        return self._knots[-1]
+        return self.knots[-1]
 
 
 @dataclass(frozen=True)
@@ -114,25 +112,26 @@ def fit_cubic_spline(traj: QuinticTrajectory) -> SplineTrajectory:
         raise ValueError(f"need at least 4 samples to fit a spline, got {len(traj.times)}")
     stacked = np.hstack([traj.q, traj.q_dot, traj.q_ddot])
     spline = CubicSpline(traj.times, stacked, axis=0, bc_type="natural")
-    return SplineTrajectory(joint_count=traj.q.shape[1], _stacked=spline)
+    return SplineTrajectory(knots=spline.x.tolist(), coeffs=np.ascontiguousarray(spline.c.transpose(1, 0, 2)))
 
 
 def sample_spline(spline: SplineTrajectory, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate (q_des, q_dot_des, q_ddot_des) at abscissa s, clamped to the knots."""
-    knots = spline._knots
+    knots = spline.knots
     s = min(max(float(s), knots[0]), knots[-1])
     # Direct piecewise-polynomial evaluation (identical to the scipy call,
     # without its per-call overhead at the control rate).
     idx = max(min(bisect.bisect_right(knots, s) - 1, len(knots) - 2), 0)
     dx = s - knots[idx]
-    c = spline._coeffs[idx]
+    c = spline.coeffs[idx]
     values = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
     n = spline.joint_count
     return values[:n], values[n : 2 * n], values[2 * n :]
 
 
 def advance_parameter(p: PathParameter, alpha: float, T_r: float) -> PathParameter:
-    """Advance s by one control cycle under the linear time law s' = s + alpha T_r."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """Advance s by one control cycle under the linear time law s' = s + alpha T_r.
+
+    alpha is a ScalingResult's, which checked it lies in [0, 1].
+    """
     return PathParameter(s=min(p.t_final, p.s + alpha * T_r), s_dot=alpha, t_final=p.t_final)

@@ -24,9 +24,7 @@ def make_model(dh_rows, masses=None, payload=0.0, qd=3.0, qdd=10.0) -> Manipulat
     return ManipulatorModel(
         joint_count=n,
         dh_rows=np.asarray(dh_rows, dtype=float),
-        q_dot_min=-qd * np.ones(n),
         q_dot_max=qd * np.ones(n),
-        q_ddot_min=-qdd * np.ones(n),
         q_ddot_max=qdd * np.ones(n),
         link_masses=np.ones(n) if masses is None else np.asarray(masses, dtype=float),
         payload_mass=payload,

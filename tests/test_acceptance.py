@@ -23,7 +23,13 @@ from handover_sim.detector import (
     sample_curve_params,
 )
 from handover_sim.harness import Scenario, evaluate_batch, make_batch_scenarios, run_handover
-from handover_sim.kinematics import Pose, forward_kinematics, jacobian, jacobian_dot
+from handover_sim.kinematics import (
+    Pose,
+    chain_frames,
+    jacobian_dot_from_frames,
+    jacobian_from_frames,
+    pose_from_frames,
+)
 from handover_sim.safety import SafetyParams, optimal_alpha, pfl_limit, ssm_limit
 
 from test_admittance import _closed_loop
@@ -130,11 +136,14 @@ def test_criterion_5_kinematic_oracles(default_model):
     for _ in range(1000):
         q = rng.uniform(-np.pi, np.pi, 6)
         q_dot = rng.uniform(-1.5, 1.5, 6)
-        pose = forward_kinematics(default_model, q)
+        frames = chain_frames(default_model, q)
+        pose = pose_from_frames(default_model, frames)
+        J = jacobian_from_frames(default_model, frames)
         worst_orth = max(worst_orth, float(np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()))
-        worst_j = max(worst_j, float(np.abs(jacobian(default_model, q) - jacobian_fd(default_model, q)).max()))
-        fd = (jacobian(default_model, q + q_dot * 1e-6) - jacobian(default_model, q)) / 1e-6
-        worst_jd = max(worst_jd, float(np.abs(jacobian_dot(default_model, q, q_dot) - fd).max()))
+        worst_j = max(worst_j, float(np.abs(J - jacobian_fd(default_model, q)).max()))
+        fd = (jacobian_from_frames(default_model, chain_frames(default_model, q + q_dot * 1e-6)) - J) / 1e-6
+        Jd = jacobian_dot_from_frames(default_model, frames, q_dot)
+        worst_jd = max(worst_jd, float(np.abs(Jd - fd).max()))
     elapsed = time.perf_counter() - start
     assert worst_j <= 1e-5
     assert worst_jd <= 1e-4
@@ -155,17 +164,18 @@ def test_criterion_6_admittance_contracts(default_model):
     from handover_sim.admittance import integrate_velocity
 
     start = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
-    ref = forward_kinematics(default_model, start)
+    ref = pose_from_frames(default_model, chain_frames(default_model, start))
     q, qd = start.copy(), np.zeros(6)
     for _ in range(1500):
-        x = forward_kinematics(default_model, q)
-        J = jacobian(default_model, q)
+        frames = chain_frames(default_model, q)
+        x = pose_from_frames(default_model, frames)
+        J = jacobian_from_frames(default_model, frames)
         xd = J @ qd
         acc = admittance_accel(params, ref, np.zeros(6), np.zeros(6), x, xd,
                                np.concatenate((force, np.zeros(3))))
         qd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, 1.0 / 500.0)
         q = q + qd / 500.0
-    offset = ref.position - forward_kinematics(default_model, q).position
+    offset = ref.position - chain_frames(default_model, q).tool
     expected = force / 400.0
     offset_err = float(np.linalg.norm(offset - expected) / np.linalg.norm(expected))
     assert offset_err <= 0.01

@@ -13,7 +13,7 @@ from handover_sim.admittance import (
     pose_error,
     transform_wrench,
 )
-from handover_sim.kinematics import Pose, damped_pinv, forward_kinematics, jacobian
+from handover_sim.kinematics import Pose, chain_frames, damped_pinv, jacobian_from_frames, pose_from_frames
 from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
 
 from test_trajectory import to_cartesian
@@ -183,7 +183,8 @@ def test_integrate_constant_accel_ramp():
 
 def test_cartesian_to_joint_zero(default_model):
     q = np.random.default_rng(1).uniform(-1, 1, 6)
-    assert np.allclose(damped_pinv(jacobian(default_model, q)) @ np.zeros(6), 0.0)
+    J = jacobian_from_frames(default_model, chain_frames(default_model, q))
+    assert np.allclose(damped_pinv(J) @ np.zeros(6), 0.0)
 
 
 def test_identity_jacobian_passthrough():
@@ -194,8 +195,9 @@ def test_identity_jacobian_passthrough():
 def test_cartesian_to_joint_residual(default_model):
     q = np.random.default_rng(42).uniform(-1.2, 1.2, 6)
     xd = np.random.default_rng(43).normal(size=6) * 0.2
-    qd = damped_pinv(jacobian(default_model, q), 0.0) @ xd
-    assert np.abs(jacobian(default_model, q) @ qd - xd).max() < 1e-9
+    J = jacobian_from_frames(default_model, chain_frames(default_model, q))
+    qd = damped_pinv(J, 0.0) @ xd
+    assert np.abs(J @ qd - xd).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +242,9 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
         s = min(k * T_r, duration)
         q_des, qd_des, qdd_des = sample_spline(spline, s)
         x_des, xd_des, xdd_des = to_cartesian(default_model, q_des, qd_des, qdd_des)
-        x = forward_kinematics(default_model, q)
-        J = jacobian(default_model, q)
+        frames = chain_frames(default_model, q)
+        x = pose_from_frames(default_model, frames)
+        J = jacobian_from_frames(default_model, frames)
         xd = J @ qd_meas
         F = force_fn(k * T_r)
         acc = admittance_accel(params, x_des, xd_des, xdd_des, x, xd, F)
@@ -263,13 +266,14 @@ def test_static_compliance_converges(default_model):
     force = np.array([10.0, -6.0, 4.0])
     start = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
     params = AdmittanceParams()
-    x_ref = forward_kinematics(default_model, start)
+    x_ref = pose_from_frames(default_model, chain_frames(default_model, start))
     T_r = 1.0 / 500.0
     q = start.copy()
     qd_meas = np.zeros(6)
     for _ in range(int(3.0 * 500)):
-        x = forward_kinematics(default_model, q)
-        J = jacobian(default_model, q)
+        frames = chain_frames(default_model, q)
+        x = pose_from_frames(default_model, frames)
+        J = jacobian_from_frames(default_model, frames)
         xd = J @ qd_meas
         acc = admittance_accel(
             params, x_ref, np.zeros(6), np.zeros(6), x, xd, np.concatenate((force, np.zeros(3)))
@@ -277,6 +281,6 @@ def test_static_compliance_converges(default_model):
         qd_cmd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, T_r)
         q = q + qd_cmd * T_r
         qd_meas = qd_cmd
-    displacement = x_ref.position - forward_kinematics(default_model, q).position
+    displacement = x_ref.position - chain_frames(default_model, q).tool
     expected = force / 400.0
     assert np.abs(displacement - expected).max() < 0.01 * np.linalg.norm(expected) + 1e-5

@@ -98,6 +98,22 @@ def test_curve_params_validation():
         LoadCurveParams(f_L0=1.0, noise_sigma=-0.1)
 
 
+@pytest.mark.parametrize("event", [
+    (0.5, np.nan, 0.1),
+    (0.5, np.inf, 0.1),
+    (np.nan, 5.0, 0.1),
+    (np.inf, 5.0, 0.1),
+    (-np.inf, 5.0, 0.1),
+    (0.5, 5.0, np.inf),
+    (0.5, 5.0, 0.0),
+])
+def test_curve_params_reject_non_finite_disturbance(event):
+    # every disturbance value is checked where the curve is built, before a
+    # trace (or a saved CSV of it) could carry NaN samples
+    with pytest.raises(ValueError, match="disturbance"):
+        LoadCurveParams(f_L0=5.0, engagement_time=1.0, disturbance_events=(event,))
+
+
 # ---------------------------------------------------------------------------
 # windowing
 

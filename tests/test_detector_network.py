@@ -285,6 +285,9 @@ def test_weights_round_trip(tmp_path):
         assert np.array_equal(arr, getattr(loaded, name))
     assert meta["train_loss"] == 0.123
     assert meta["hidden"] == 8
+    # the member order of a weights file, pinned literally
+    with np.load(path) as data:
+        assert data.files == ["meta", "W_lstm", "W1", "b1", "W2", "b2", "W3", "b3"]
 
 
 def test_corrupt_weights_name_shape(tmp_path):

@@ -7,13 +7,12 @@ import pytest
 
 from handover_sim import harness
 from handover_sim.admittance import AdmittanceParams
-from handover_sim.detector.curves import LoadCurveParams
+from handover_sim.detector.curves import LoadCurveParams, generate_handover_sequence
 from handover_sim.detector.training import TrainingConfig
 from handover_sim.harness import (
     FAILED_RELEASE,
     PREMATURE_DROP,
     SUCCESS,
-    EpisodeSensor,
     Scenario,
     _HandPath,
     evaluate_batch,
@@ -26,7 +25,7 @@ from handover_sim.harness import (
     write_episode_csv,
 )
 from handover_sim.config import default_manipulator
-from handover_sim.kinematics import forward_kinematics
+from handover_sim.kinematics import chain_frames
 from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints
 from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
 
@@ -81,12 +80,12 @@ def test_velocity_integrates_to_displacement():
 
 
 # ---------------------------------------------------------------------------
-# simulated sensor
+# simulated sensor: the generated trace run_handover reads, wrench while the
+# gripper holds the object and noise after it opens
 
 def test_sensor_gravity_hold():
     curve = LoadCurveParams(f_L0=9.81, engagement_time=1.0, noise_sigma=0.0, seed=0)
-    sensor = EpisodeSensor(curve, 2.0, 500.0)
-    wrench = sensor.reading(250, gripper_open=False)  # t = 0.5 s
+    wrench = generate_handover_sequence(curve, 2.0, 500.0).wrench[250]  # t = 0.5 s
     assert abs(wrench[2] + 9.81) < 1e-12
     assert np.allclose(wrench[3:], 0.0)
 
@@ -98,24 +97,26 @@ def test_object_mass_maps_to_weight():
 
 def test_sensor_noise_only_after_release():
     curve = LoadCurveParams(f_L0=9.81, engagement_time=1.0, noise_sigma=0.02, seed=1)
-    sensor = EpisodeSensor(curve, 2.0, 500.0)
-    held = sensor.reading(250, gripper_open=False)
-    released = sensor.reading(250, gripper_open=True)
+    trace = generate_handover_sequence(curve, 2.0, 500.0)
+    held = trace.wrench[250]
+    released = trace.noise[250]
     assert abs(held[2] + 9.81) < 0.2
     assert abs(released[2]) < 0.2  # load gone within the same sample
 
 
 def test_sensor_rejects_non_finite_trace():
-    # the one finiteness check of the wrench the admittance law reads
-    curve = LoadCurveParams(f_L0=5.0, engagement_time=1.0, disturbance_events=((0.5, np.nan, 0.1),))
-    with pytest.raises(ValueError, match="finite"):
-        EpisodeSensor(curve, 2.0, 500.0)
+    # the one finiteness check of the wrench the admittance law reads: finite
+    # parameters whose load and pulse add past the float range
+    curve = LoadCurveParams(f_L0=1e308, engagement_time=1.0, disturbance_events=((0.5, -1e308, 0.1),))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        generate_handover_sequence(curve, 2.0, 500.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        run_handover(quick_scenario(object_mass=1e307, disturbances=((0.5, -1e308, 0.1),)))
 
 
 def test_sensor_no_object_is_pure_noise():
     curve = LoadCurveParams(f_L0=5.0, engagement_time=1.0, noise_sigma=0.05, seed=2)
-    sensor = EpisodeSensor(curve, 2.0, 500.0)
-    readings = np.array([sensor.reading(k, True) for k in range(900)])
+    readings = generate_handover_sequence(curve, 2.0, 500.0).noise[:900]
     assert abs(readings.mean()) < 0.02
     assert readings.std() < 0.1
 
@@ -163,7 +164,7 @@ def test_position_ik_reaches_target(default_model):
     grasp = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
     target = np.array([0.6, -0.4, 0.5])
     q = position_ik(default_model, target, grasp, tol=1e-9)
-    assert np.linalg.norm(forward_kinematics(default_model, q).position - target) < 1e-8
+    assert np.linalg.norm(chain_frames(default_model, q).tool - target) < 1e-8
 
 
 def test_position_ik_unreachable_raises(default_model):
@@ -222,7 +223,8 @@ def test_hand_near_path_respects_contact_floor():
     q_cols = [cols.index(f"q{i}") for i in range(6)]
     u_cols = [cols.index(f"u{i}") for i in range(6)]
     for k in range(0, res.metrics.cycles, 10):
-        lc = link_constraints(model, data[k, q_cols], HumanState(hand, np.zeros(3)), params, m_r)
+        frames = chain_frames(model, data[k, q_cols])
+        lc = link_constraints(model, frames, HumanState(hand, np.zeros(3)), params, m_r)
         directed = lc.rows @ data[k, u_cols]
         assert np.all(directed <= lc.v_max + 1e-6)
 
@@ -283,7 +285,7 @@ def test_compliance_corridor():
         if data[k, cols.index("gripper")] > 0:
             break  # retreat replans the reference
         q_des = sample_spline(spline, data[k, cols.index("s")])[0]
-        x_des = forward_kinematics(model, q_des).position
+        x_des = chain_frames(model, q_des).tool
         worst = max(worst, float(np.linalg.norm(data[k, x_cols] - x_des)))
     bound = (sc.object_mass * 9.81 + 3.0) / 400.0  # payload + pull, K_trans
     assert worst < 1.5 * bound + 0.01
@@ -386,7 +388,8 @@ def test_reaction_time_follows_control_rate():
     human = human_motion(sc, 0.0)
 
     def first_ssm(T_r):
-        return link_constraints(model, q0, human, SafetyParams(T_r=T_r), apparent_mass(model)).ssm.min()
+        frames = chain_frames(model, q0)
+        return link_constraints(model, frames, human, SafetyParams(T_r=T_r), apparent_mass(model)).ssm.min()
 
     logged = res.log.data[0, res.log.columns.index("ssm")]
     assert logged == first_ssm(0.001)

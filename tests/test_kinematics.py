@@ -16,11 +16,9 @@ from handover_sim.kinematics import (
     chain_frames,
     cross_rows,
     damped_pinv,
-    forward_kinematics,
-    jacobian,
-    jacobian_dot,
+    jacobian_dot_from_frames,
     jacobian_from_frames,
-    link_positions,
+    pose_from_frames,
 )
 
 from conftest import make_model
@@ -51,8 +49,8 @@ def jacobian_fd(model, q, h=1e-6):
     for j in range(n):
         dq = np.zeros(n)
         dq[j] = h
-        plus = forward_kinematics(model, q + dq)
-        minus = forward_kinematics(model, q - dq)
+        plus = pose_from_frames(model, chain_frames(model, q + dq))
+        minus = pose_from_frames(model, chain_frames(model, q - dq))
         J[:3, j] = (plus.position - minus.position) / (2 * h)
         J[3:, j] = rotation_log(plus.rotation @ minus.rotation.T) / (2 * h)
     return J
@@ -62,20 +60,20 @@ def jacobian_fd(model, q, h=1e-6):
 # forward kinematics
 
 def test_fk_one_link_zero(one_link):
-    pose = forward_kinematics(one_link, [0.0])
+    pose = pose_from_frames(one_link, chain_frames(one_link, [0.0]))
     assert np.allclose(pose.position, [1.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(pose.rotation, np.eye(3), atol=1e-15)
 
 
 def test_fk_two_link_planar(two_link_planar):
-    pose = forward_kinematics(two_link_planar, [0.0, np.pi / 2])
+    pose = pose_from_frames(two_link_planar, chain_frames(two_link_planar, [0.0, np.pi / 2]))
     assert np.allclose(pose.position, [1.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_fk_matches_oracle_chain(default_model):
     q = np.random.default_rng(42).uniform(-np.pi, np.pi, 6)
     T = fk_oracle(default_model, q)
-    pose = forward_kinematics(default_model, q)
+    pose = pose_from_frames(default_model, chain_frames(default_model, q))
     assert np.allclose(pose.position, T[:3, 3], atol=1e-12)
     assert np.allclose(pose.rotation, T[:3, :3], atol=1e-12)
 
@@ -83,14 +81,14 @@ def test_fk_matches_oracle_chain(default_model):
 def test_fk_rotation_orthonormal(default_model):
     rng = np.random.default_rng(7)
     for _ in range(50):
-        pose = forward_kinematics(default_model, rng.uniform(-np.pi, np.pi, 6))
+        pose = pose_from_frames(default_model, chain_frames(default_model, rng.uniform(-np.pi, np.pi, 6)))
         assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
 
 
 def test_fk_dimension_mismatch(default_model):
     with pytest.raises(ValueError):
-        forward_kinematics(default_model, np.zeros(5))
+        chain_frames(default_model, np.zeros(5))
 
 
 def test_fk_applies_tool_transform():
@@ -99,12 +97,11 @@ def test_fk_applies_tool_transform():
     model = ManipulatorModel(
         joint_count=1,
         dh_rows=[[1.0, 0.0, 0.0, 0.0]],
-        q_dot_min=[-1.0], q_dot_max=[1.0],
-        q_ddot_min=[-1.0], q_ddot_max=[1.0],
+        q_dot_max=[1.0], q_ddot_max=[1.0],
         link_masses=[1.0],
         tool_transform=tool,
     )
-    pose = forward_kinematics(model, [0.0])
+    pose = pose_from_frames(model, chain_frames(model, [0.0]))
     assert np.allclose(pose.position, [1.0, 0.0, 0.2], atol=1e-15)
 
 
@@ -112,13 +109,13 @@ def test_fk_applies_tool_transform():
 # jacobian
 
 def test_jacobian_one_link(one_link):
-    J = jacobian(one_link, [0.0])
+    J = jacobian_from_frames(one_link, chain_frames(one_link, [0.0]))
     assert np.allclose(J[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_jacobian_zero_rate_contributes_nothing(default_model):
     q = np.random.default_rng(3).uniform(-1, 1, 6)
-    J = jacobian(default_model, q)
+    J = jacobian_from_frames(default_model, chain_frames(default_model, q))
     q_dot = np.random.default_rng(4).uniform(-1, 1, 6)
     for locked in range(6):
         qd = q_dot.copy()
@@ -131,7 +128,7 @@ def test_jacobian_zero_rate_contributes_nothing(default_model):
 def test_jacobian_axis_through_tool_has_zero_linear_part():
     # joint 2 axis passes through the end point: no linear contribution
     model = make_model([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    J = jacobian(model, [0.3, -0.4])
+    J = jacobian_from_frames(model, chain_frames(model, [0.3, -0.4]))
     assert np.allclose(J[:3, 1], 0.0, atol=1e-15)
     assert np.allclose(np.linalg.norm(J[3:, 1]), 1.0, atol=1e-12)
 
@@ -140,7 +137,8 @@ def test_jacobian_finite_difference(default_model):
     rng = np.random.default_rng(42)
     for _ in range(50):
         q = rng.uniform(-np.pi, np.pi, 6)
-        assert np.abs(jacobian(default_model, q) - jacobian_fd(default_model, q)).max() < 1e-5
+        J = jacobian_from_frames(default_model, chain_frames(default_model, q))
+        assert np.abs(J - jacobian_fd(default_model, q)).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_jacobian_finite_difference(default_model):
 
 def test_jacobian_dot_zero_velocity(default_model):
     q = np.random.default_rng(5).uniform(-1, 1, 6)
-    assert np.allclose(jacobian_dot(default_model, q, np.zeros(6)), 0.0)
+    assert np.allclose(jacobian_dot_from_frames(default_model, chain_frames(default_model, q), np.zeros(6)), 0.0)
 
 
 def test_jacobian_dot_finite_difference(default_model):
@@ -157,37 +155,39 @@ def test_jacobian_dot_finite_difference(default_model):
     for _ in range(50):
         q = rng.uniform(-np.pi, np.pi, 6)
         q_dot = rng.uniform(-1.5, 1.5, 6)
-        fd = (jacobian(default_model, q + q_dot * h) - jacobian(default_model, q)) / h
-        assert np.abs(jacobian_dot(default_model, q, q_dot) - fd).max() < 1e-4
+        frames = chain_frames(default_model, q)
+        ahead = chain_frames(default_model, q + q_dot * h)
+        fd = (jacobian_from_frames(default_model, ahead) - jacobian_from_frames(default_model, frames)) / h
+        assert np.abs(jacobian_dot_from_frames(default_model, frames, q_dot) - fd).max() < 1e-4
 
 
 def test_jacobian_dot_one_link_analytic(one_link):
     # p = (cos q, sin q, 0); column = z x p; d/dt column = (-cos q, -sin q, 0) qd
     q, qd = 0.7, 1.0
-    Jd = jacobian_dot(one_link, [q], [qd])
+    Jd = jacobian_dot_from_frames(one_link, chain_frames(one_link, [q]), [qd])
     expected = np.array([-np.cos(q), -np.sin(q), 0.0]) * qd
     assert np.allclose(Jd[:3, 0], expected, atol=1e-12)
     assert np.allclose(Jd[3:, 0], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# link positions
+# link positions: the frame origins
 
 def test_link_positions_straight_chain(two_link_planar):
-    pts = link_positions(two_link_planar, [0.0, 0.0])
+    pts = chain_frames(two_link_planar, [0.0, 0.0]).origins
     assert np.allclose(pts, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], atol=1e-15)
 
 
 def test_link_positions_base_fixed(default_model):
     rng = np.random.default_rng(8)
     for _ in range(10):
-        pts = link_positions(default_model, rng.uniform(-np.pi, np.pi, 6))
+        pts = chain_frames(default_model, rng.uniform(-np.pi, np.pi, 6)).origins
         assert np.allclose(pts[0], 0.0)
 
 
 def test_link_positions_truncated_chain_oracle(default_model):
     q = np.random.default_rng(42).uniform(-np.pi, np.pi, 6)
-    pts = link_positions(default_model, q)
+    pts = chain_frames(default_model, q).origins
     T = np.eye(4)
     for i, (a, al, d, th) in enumerate(default_model.dh_rows):
         T = T @ dh_oracle(a, al, d, th + q[i])
@@ -198,9 +198,9 @@ def test_link_positions_last_equals_fk(default_model):
     rng = np.random.default_rng(9)
     for _ in range(20):
         q = rng.uniform(-np.pi, np.pi, 6)
-        pts = link_positions(default_model, q)
-        pose = forward_kinematics(default_model, q)
-        assert np.abs(pts[-1] - pose.position).max() < 1e-12  # tool transform is identity
+        frames = chain_frames(default_model, q)
+        pose = pose_from_frames(default_model, frames)
+        assert np.abs(frames.origins[-1] - pose.position).max() < 1e-12  # tool transform is identity
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_damped_pinv_singular_raises():
 
 def test_damped_pinv_exact_inverse(default_model):
     q = np.random.default_rng(42).uniform(-1.2, 1.2, 6)
-    J = jacobian(default_model, q)
+    J = jacobian_from_frames(default_model, chain_frames(default_model, q))
     assert np.abs(damped_pinv(J, 0.0) @ J - np.eye(6)).max() < 1e-9
 
 
@@ -239,11 +239,13 @@ def test_model_validation_errors():
     with pytest.raises(ValueError):
         make_model([[1.0, 0, 0, 0]], qd=-1.0)  # bad velocity bounds
     with pytest.raises(ValueError):
+        make_model([[1.0, 0, 0, 0]], qdd=0.0)  # bad acceleration bounds
+    with pytest.raises(ValueError):
         make_model([[1.0, 0, 0, 0]], masses=[-1.0])
     with pytest.raises(ValueError):
         ManipulatorModel(
             joint_count=0, dh_rows=np.zeros((0, 4)),
-            q_dot_min=[], q_dot_max=[], q_ddot_min=[], q_ddot_max=[], link_masses=[],
+            q_dot_max=[], q_ddot_max=[], link_masses=[],
         )
 
 
@@ -253,7 +255,7 @@ def test_model_rejects_bad_tool_rotation():
     with pytest.raises(ValueError):
         ManipulatorModel(
             joint_count=1, dh_rows=[[1, 0, 0, 0]],
-            q_dot_min=[-1], q_dot_max=[1], q_ddot_min=[-1], q_ddot_max=[1],
+            q_dot_max=[1], q_ddot_max=[1],
             link_masses=[1.0], tool_transform=tool,
         )
 

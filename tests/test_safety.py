@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from handover_sim.kinematics import chain_frames, cross_rows, jacobian, link_positions
+from handover_sim.kinematics import chain_frames, cross_rows, jacobian_from_frames
 from handover_sim.safety import (
     HumanState,
     SafetyParams,
@@ -45,7 +45,7 @@ def modified_jacobian(model, q: np.ndarray, versor: np.ndarray, link_index: int)
     versor = np.asarray(versor, dtype=float).reshape(3)
     if abs(np.linalg.norm(versor) - 1.0) > 1e-9:
         raise ValueError("versor must have unit norm")
-    origins, axes, _, _ = chain_frames(model, model.check_q(q))
+    origins, axes, _, _ = chain_frames(model, q)
     row = np.zeros(model.joint_count)
     point = origins[link_index]
     cols = cross_rows(axes[:link_index], point - origins[:link_index])
@@ -175,7 +175,7 @@ def test_modified_jacobian_projection(default_model):
     rng = np.random.default_rng(42)
     q = rng.uniform(-1.2, 1.2, 6)
     q_dot = rng.uniform(-1, 1, 6)
-    J = jacobian(default_model, q)
+    J = jacobian_from_frames(default_model, chain_frames(default_model, q))
     v = J[:3] @ q_dot
     versor = v / np.linalg.norm(v)
     row = modified_jacobian(default_model, q, versor, 6)
@@ -188,7 +188,7 @@ def test_modified_jacobian_orthogonal_motion(default_model):
     rng = np.random.default_rng(5)
     q = rng.uniform(-1.2, 1.2, 6)
     q_dot = rng.uniform(-1, 1, 6)
-    v = jacobian(default_model, q)[:3] @ q_dot
+    v = jacobian_from_frames(default_model, chain_frames(default_model, q))[:3] @ q_dot
     perp = np.cross(v, [0.0, 0.0, 1.0])
     perp /= np.linalg.norm(perp)
     row = modified_jacobian(default_model, q, perp, 6)
@@ -213,8 +213,8 @@ def test_modified_jacobian_finite_difference(default_model):
         versor /= np.linalg.norm(versor)
         for link in (2, 4, 6):
             row = modified_jacobian(default_model, q, versor, link)
-            p0 = link_positions(default_model, q)[link] @ versor
-            p1 = link_positions(default_model, q + q_dot * h)[link] @ versor
+            p0 = chain_frames(default_model, q).origins[link] @ versor
+            p1 = chain_frames(default_model, q + q_dot * h).origins[link] @ versor
             assert abs(row @ q_dot - (p1 - p0) / h) < 1e-5
 
 
@@ -245,8 +245,7 @@ def _random_instance(rng, n=6, m=6):
     return dict(
         q_dot_adm=q_dot_adm, q_dot_current=q_dot_current,
         per_link_rows=rows, v_max_per_link=v_max,
-        q_dot_min=-q_dot_max, q_dot_max=q_dot_max,
-        q_ddot_min=-q_ddot_max, q_ddot_max=q_ddot_max, T_r=T_r,
+        q_dot_max=q_dot_max, q_ddot_max=q_ddot_max, T_r=T_r,
     )
 
 
@@ -257,9 +256,9 @@ def satisfies(inst, alpha, tol=1e-9):
     return bool(
         np.all(inst["per_link_rows"] @ qd <= inst["v_max_per_link"] + tol)
         and np.all(qd <= inst["q_dot_max"] + tol)
-        and np.all(qd >= inst["q_dot_min"] - tol)
+        and np.all(qd >= -inst["q_dot_max"] - tol)
         and np.all(rate <= inst["q_ddot_max"] + tol)
-        and np.all(rate >= inst["q_ddot_min"] - tol)
+        and np.all(rate >= -inst["q_ddot_max"] - tol)
     )
 
 
@@ -280,8 +279,7 @@ def test_alpha_all_slack():
     res = optimal_alpha(
         q_dot_adm=np.array([0.1, -0.1]), q_dot_current=np.array([0.1, -0.1]),
         per_link_rows=np.array([[0.5, 0.5]]), v_max_per_link=np.array([10.0]),
-        q_dot_min=np.array([-3.0, -3.0]), q_dot_max=np.array([3.0, 3.0]),
-        q_ddot_min=np.array([-50.0, -50.0]), q_ddot_max=np.array([50.0, 50.0]),
+        q_dot_max=np.array([3.0, 3.0]), q_ddot_max=np.array([50.0, 50.0]),
         T_r=0.002,
     )
     assert res.alpha == 1.0 and res.feasible and res.binding_constraint == "box"
@@ -291,8 +289,7 @@ def test_alpha_single_iso_ratio():
     res = optimal_alpha(
         q_dot_adm=np.array([2.0]), q_dot_current=np.array([2.0]),
         per_link_rows=np.array([[1.0]]), v_max_per_link=np.array([1.0]),
-        q_dot_min=np.array([-10.0]), q_dot_max=np.array([10.0]),
-        q_ddot_min=np.array([-1e4]), q_ddot_max=np.array([1e4]),
+        q_dot_max=np.array([10.0]), q_ddot_max=np.array([1e4]),
         T_r=0.002,
     )
     assert abs(res.alpha - 0.5) < 1e-12
@@ -324,7 +321,7 @@ def test_alpha_velocity_box_always_satisfied():
         res = optimal_alpha(**inst)
         qd = res.alpha * inst["q_dot_adm"]
         assert np.all(qd <= inst["q_dot_max"] + 1e-9)
-        assert np.all(qd >= inst["q_dot_min"] - 1e-9)
+        assert np.all(qd >= -inst["q_dot_max"] - 1e-9)
 
 
 def test_alpha_acceleration_box_when_feasible():
@@ -336,7 +333,7 @@ def test_alpha_acceleration_box_when_feasible():
             continue
         rate = (res.alpha * inst["q_dot_adm"] - inst["q_dot_current"]) / inst["T_r"]
         assert np.all(rate <= inst["q_ddot_max"] + 1e-6)
-        assert np.all(rate >= inst["q_ddot_min"] - 1e-6)
+        assert np.all(rate >= -inst["q_ddot_max"] - 1e-6)
 
 
 @st.composite
@@ -353,8 +350,7 @@ def _scaling_instances(draw):
     return dict(
         q_dot_adm=vec(n, -3.0, 3.0), q_dot_current=vec(n, -3.0, 3.0),
         per_link_rows=vec((m, n), -2.0, 2.0), v_max_per_link=vec(m, 0.0, 3.0),
-        q_dot_min=-q_dot_max, q_dot_max=q_dot_max,
-        q_ddot_min=-q_ddot_max, q_ddot_max=q_ddot_max,
+        q_dot_max=q_dot_max, q_ddot_max=q_ddot_max,
         T_r=draw(st.floats(1e-4, 0.05)),
     )
 
@@ -367,7 +363,7 @@ def test_alpha_properties_on_arbitrary_instances(inst):
     # the velocity box holds whether or not the problem is feasible
     qd = res.alpha * inst["q_dot_adm"]
     assert np.all(qd <= inst["q_dot_max"] + 1e-12)
-    assert np.all(qd >= inst["q_dot_min"] - 1e-12)
+    assert np.all(qd >= -inst["q_dot_max"] - 1e-12)
     if res.feasible:
         assert satisfies(inst, res.alpha)
         assert res.binding_constraint in ("box", "iso-limit", "joint-velocity", "joint-acceleration")
@@ -401,8 +397,7 @@ def test_alpha_infeasible_braking():
     res = optimal_alpha(
         q_dot_adm=np.array([1.0]), q_dot_current=np.array([1.0]),
         per_link_rows=np.array([[1.0]]), v_max_per_link=np.array([0.1]),
-        q_dot_min=np.array([-3.0]), q_dot_max=np.array([3.0]),
-        q_ddot_min=np.array([-5.0]), q_ddot_max=np.array([5.0]),
+        q_dot_max=np.array([3.0]), q_ddot_max=np.array([5.0]),
         T_r=0.002,
     )
     # alpha must stay >= the braking bound (1 - 5*0.002)/1 = 0.99 > iso 0.1
@@ -448,8 +443,9 @@ def test_link_constraints_match_modified_jacobian(default_model):
     q = rng.uniform(-1.2, 1.2, 6)
     human = HumanState(rng.uniform(-0.5, 0.5, 3) + [0.0, -0.8, 0.5], rng.normal(size=3) * 0.2)
     params = SafetyParams()
-    lc = link_constraints(default_model, q, human, params, m_r=16.0)
-    pts = link_positions(default_model, q)
+    frames = chain_frames(default_model, q)
+    lc = link_constraints(default_model, frames, human, params, m_r=16.0)
+    pts = frames.origins
     for i in range(1, 7):
         versor = hr_versor(human.hand_position, pts[i])
         row = modified_jacobian(default_model, q, versor, i)
@@ -462,10 +458,10 @@ def test_link_constraints_match_modified_jacobian(default_model):
 
 
 def test_link_constraints_inside_sphere_floors_separation(default_model):
-    q = np.zeros(6)
-    pts = link_positions(default_model, q)
+    frames = chain_frames(default_model, np.zeros(6))
+    pts = frames.origins
     human = HumanState(pts[6] + [0.01, 0.0, 0.0], np.zeros(3))  # 1 cm from the end point
-    lc = link_constraints(default_model, q, human, SafetyParams(human_radius=0.1), m_r=16.0)
+    lc = link_constraints(default_model, frames, human, SafetyParams(human_radius=0.1), m_r=16.0)
     assert lc.separation[5] == 0.0
     assert lc.v_max[5] == lc.pfl  # contact-speed floor governs at the boundary
 
@@ -476,10 +472,11 @@ def test_link_constraints_point_at_hand_gets_zero_row(default_model):
     # the coincidence were not there
     rng = np.random.default_rng(5)
     q = rng.uniform(-1.2, 1.2, 6)
-    pts = link_positions(default_model, q)
+    frames = chain_frames(default_model, q)
+    pts = frames.origins
     velocity = rng.normal(size=3) * 0.2
     params = SafetyParams()
-    lc = link_constraints(default_model, q, HumanState(pts[4], velocity), params, m_r=16.0)
+    lc = link_constraints(default_model, frames, HumanState(pts[4], velocity), params, m_r=16.0)
     assert np.all(lc.rows[3] == 0.0)
     assert lc.ssm[3] == 0.0 and lc.separation[3] == 0.0
     assert lc.v_max[3] == lc.pfl
