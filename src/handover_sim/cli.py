@@ -19,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import apply_overrides, default_manipulator, load_json
+from .config import apply_overrides, load_json
 from .detector.curves import generate_handover_sequence, sample_curve_params
 from .detector.dataset import load_sequence_csv, save_sequence_csv, window_dataset
 from .detector.network import init_network, load_weights, save_weights
 from .detector.training import TrainingConfig, evaluate_loss, train
 from .harness import (
     ARMS,
+    EPISODE_COLUMNS,
     SUCCESS,
     Scenario,
     evaluate_batch,
@@ -72,13 +73,9 @@ def _scenario_from_args(args) -> Scenario:
     if unknown:
         raise UsageError(f"unknown scenario field(s): {', '.join(unknown)}")
     try:
-        scenario = Scenario(**data)
+        return Scenario(**data)
     except (TypeError, ValueError) as exc:  # a value or nested key the scenario rejects
         raise UsageError(str(exc)) from exc
-    joints = default_manipulator().joint_count  # the arm every command runs
-    if len(scenario.grasp_q) != joints:
-        raise UsageError(f"grasp_q must be {joints} finite numbers, got {scenario.grasp_q!r}")
-    return scenario
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -137,7 +134,7 @@ def cmd_train(args) -> int:
             balancing=args.balancing,
             window=args.window,
             stride=args.stride,
-            seed=args.seed or 0,
+            seed=args.seed,
             max_epochs=args.epochs,
         )
     except ValueError as exc:
@@ -192,13 +189,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     scenario = _scenario_from_args(args)
     network = None
     if scenario.release == "network":
         if not args.weights:
             raise UsageError("release='network' requires --weights")
         network, _ = load_weights(args.weights)
+    out = _out_dir(args)
     result = run_handover(scenario, network=network)
     write_episode_csv(result, out / "episode.csv")
     m = result.metrics
@@ -207,13 +204,7 @@ def cmd_simulate(args) -> int:
         {
             "command": "simulate",
             "scenario": scenario.to_dict(),
-            "outcome": m.outcome,
-            "release_time": m.release_time,
-            "release_fraction": m.release_fraction,
-            "min_separation": m.min_separation,
-            "max_directed_speed": m.max_directed_speed,
-            "safety_violations": m.safety_violations,
-            "cycles": m.cycles,
+            **{name: getattr(m, name) for name in (*EPISODE_COLUMNS, "cycles")},
         },
     )
     _write_manifest(
@@ -228,7 +219,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
     if args.episodes < 1:
         raise UsageError("--episodes must be >= 1")
     base = _scenario_from_args(args)
@@ -245,6 +235,7 @@ def cmd_compare(args) -> int:
         if not args.weights:
             raise UsageError("the proposed arm requires --weights")
         network, _ = load_weights(args.weights)
+    out = _out_dir(args)
     batch = evaluate_batch(scenarios, arms=arms, network=network)
     write_batch_csvs(batch, out / "episodes.csv", out / "summary.csv")
     _write_manifest(
@@ -293,16 +284,17 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="directory of seq_*.csv files")
     p.add_argument("--resume", help="continue from an existing weights file")
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--learning-rate", type=float, default=4e-3)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=500, help="hard cap on epochs")
-    p.add_argument("--balancing", default="undersample",
+    cfg = TrainingConfig()
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    p.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
+    p.add_argument("--patience", type=int, default=cfg.patience)
+    p.add_argument("--epochs", type=int, default=cfg.max_epochs, help="hard cap on epochs")
+    p.add_argument("--balancing", default=cfg.balancing,
                    choices=["weighted-loss", "oversample", "undersample"])
-    p.add_argument("--window", type=int, default=500)
-    p.add_argument("--stride", type=int, default=10)
+    p.add_argument("--window", type=int, default=cfg.window)
+    p.add_argument("--stride", type=int, default=cfg.stride)
     p.add_argument("--val-fraction", type=float, default=0.25)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, seed=cfg.seed)
 
     p = sub.add_parser("simulate", help="run one handover episode")
     common(p, scenario=True)

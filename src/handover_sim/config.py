@@ -18,6 +18,7 @@ import numpy as np
 from .kinematics import ManipulatorModel
 
 __all__ = [
+    "ARM_JOINTS",
     "default_manipulator",
     "apply_overrides",
     "load_json",
@@ -36,12 +37,13 @@ _UR10E_DH = [
 _UR10E_LINK_MASSES = [7.369, 13.051, 3.989, 2.1, 1.98, 0.615]
 _UR10E_QD_MAX = [2.094, 2.094, 3.142, 3.142, 3.142, 3.142]
 _UR10E_QDD_MAX = [8.0] * 6
+ARM_JOINTS = len(_UR10E_DH)  # the joint count of the arm every episode runs
 
 
 def default_manipulator(payload_mass: float = 1.0) -> ManipulatorModel:
     """Six-DoF UR10e-class arm with documented approximate constants."""
     return ManipulatorModel(
-        joint_count=6,
+        joint_count=ARM_JOINTS,
         dh_rows=np.asarray(_UR10E_DH),
         q_dot_max=np.asarray(_UR10E_QD_MAX),
         q_ddot_max=np.asarray(_UR10E_QDD_MAX),

@@ -44,7 +44,7 @@ class TrainingConfig:
     batch_size: int = 256
     learning_rate: float = 4e-3
     patience: int = 50
-    balancing: str = "weighted-loss"
+    balancing: str = "undersample"
     window: int = 500
     stride: int = 10
     seed: int = 0

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .admittance import AdmittanceParams, admittance_accel, integrate_velocity, transform_wrench
-from .config import check_fields, default_manipulator
+from .config import ARM_JOINTS, check_fields, default_manipulator
 from .detector.curves import LoadCurveParams, generate_handover_sequence, sample_curve_params
 from .detector.network import NetworkParams
 from .detector.runtime import RELEASE, ReleaseMonitor, ThresholdReleaseMonitor
@@ -37,7 +37,7 @@ from .kinematics import (
     jacobian_from_frames,
     pose_from_frames,
 )
-from .safety import HumanState, SafetyParams, apparent_mass, link_constraints, optimal_alpha
+from .safety import HumanState, SafetyParams, apparent_mass, link_constraints, optimal_alpha, pfl_limit
 from .trajectory import (
     PathParameter,
     QuinticTrajectory,
@@ -50,6 +50,7 @@ from .trajectory import (
 __all__ = [
     "Scenario",
     "EpisodeMetrics",
+    "EPISODE_COLUMNS",
     "EpisodeLog",
     "EpisodeResult",
     "pd_controller",
@@ -64,6 +65,7 @@ __all__ = [
 
 GRAVITY = 9.81
 SPEED_TOLERANCE = 1e-6
+PINV_DAMPING = 1e-3             # damped-inverse regularization near singularities
 PREMATURE_FRACTION = 0.90
 
 SUCCESS = "success"
@@ -78,6 +80,13 @@ ARMS = {
 
 _DEFAULT_GRASP_Q = (1.57, -1.0, 1.2, -1.77, -1.57, 0.0)
 _DEFAULT_HAND = (0.65, -0.45, 0.55)
+
+# load-curve parameters whose one home is a top-level scenario field
+_CURVE_FROM_SCENARIO = {
+    "engagement_time": "receiver_engagement_time",
+    "disturbance_events": "disturbances",
+    "seed": "seed",
+}
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,16 @@ class Scenario:
     attributes that to_dict(), replace() and equality do not see:
     ``safety_params``, ``admittance_params``, ``pd_kp``/``pd_kd`` and the
     curve that curve_params() returns. What reads them checks nothing again.
+
+    ``object_mass`` is the payload the arm carries. ``load_curve`` holds only
+    the shape of the transfer (``f_L0``, ``transfer_duration``,
+    ``dwell_after_transfer``, ``pull_magnitude``, ``pull_duration``,
+    ``noise_sigma``); the curve's engagement time, disturbance pulses and
+    noise seed are ``receiver_engagement_time``, ``disturbances`` and
+    ``seed``, and setting them under ``load_curve`` is an error. ``f_L0``,
+    the load the wrist sensor reads, defaults to ``object_mass * GRAVITY``
+    and stays settable because make_batch_scenarios passes the sampled load
+    exactly, which that product need not reproduce.
     """
 
     object_mass: float = 1.0
@@ -146,22 +165,19 @@ class Scenario:
     release_timeout: float = 1.0
     episode_tail: float = 0.3
     detector_period: int = 10        # control cycles between classifier inferences
-    pinv_damping: float = 1e-3       # damped-inverse regularization near singularities
     admittance: dict = field(default_factory=dict)
     safety: dict = field(default_factory=dict)
     pd_gains: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_fields(self, positive="object_mass control_rate plan_duration detector_period",
-                     non_negative="retreat_duration release_timeout episode_tail pinv_damping seed",
+                     non_negative="retreat_duration release_timeout episode_tail seed",
                      finite="receiver_engagement_time", integers="detector_period seed")
-        if "T_r" in self.safety:
-            raise ValueError("safety.T_r is 1/control_rate; set control_rate instead")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):
             raise ValueError(f"unknown release mode {self.release!r}")
-        object.__setattr__(self, "grasp_q", _finite("grasp_q", self.grasp_q))
+        object.__setattr__(self, "grasp_q", _finite("grasp_q", self.grasp_q, ARM_JOINTS))
         object.__setattr__(self, "handover_hand_pose", _finite("handover_hand_pose", self.handover_hand_pose, 3))
         object.__setattr__(self, "hand_motion", tuple(
             _finite("hand_motion row (t, x, y, z)", w, 4) for w in self.hand_motion
@@ -169,21 +185,18 @@ class Scenario:
         object.__setattr__(self, "disturbances", tuple(
             _finite("disturbances row (start, peak, width)", d, 3) for d in self.disturbances
         ))
-        object.__setattr__(self, "safety_params", _build(
-            "safety", SafetyParams, self.safety, T_r=1.0 / self.control_rate
-        ))
+        object.__setattr__(self, "safety_params", _build("safety", SafetyParams, self.safety))
         object.__setattr__(self, "admittance_params", _build("admittance", AdmittanceParams, self.admittance))
         gains = _build("pd_gains", _PDGains, self.pd_gains)
         object.__setattr__(self, "pd_kp", float(gains.kp))
         object.__setattr__(self, "pd_kd", float(gains.kd))
-        curve = {
-            "f_L0": self.object_mass * GRAVITY,
-            "engagement_time": self.receiver_engagement_time,
-            "disturbance_events": self.disturbances,
-            "seed": self.seed,
-            **self.load_curve,
-        }
-        object.__setattr__(self, "_curve", _build("load_curve", LoadCurveParams, curve))
+        for key, top in _CURVE_FROM_SCENARIO.items():
+            if key in self.load_curve:
+                raise ValueError(f"load_curve.{key} is the scenario field {top}; set {top} instead")
+        object.__setattr__(self, "_curve", _build(
+            "load_curve", LoadCurveParams, {"f_L0": self.object_mass * GRAVITY, **self.load_curve},
+            **{key: getattr(self, top) for key, top in _CURVE_FROM_SCENARIO.items()},
+        ))
         self.episode_duration()  # rejects an engagement outside the episode
 
     def curve_params(self) -> LoadCurveParams:
@@ -217,6 +230,12 @@ class EpisodeMetrics:
     cycle_time_max: float
     cycle_time_p99: float
     deadline_misses: int             # cycles longer than 1/control_rate
+
+
+# The deterministic EpisodeMetrics fields, in episodes.csv column order.
+EPISODE_COLUMNS = (
+    "outcome", "release_time", "release_fraction", "min_separation", "max_directed_speed", "safety_violations",
+)
 
 
 @dataclass
@@ -343,7 +362,7 @@ def position_ik(
         if residual < tol:
             return q
         J_pos = jacobian_from_frames(model, frames)[:3]
-        q = q + np.clip(damped_pinv(J_pos, 1e-3) @ err, -0.2, 0.2)
+        q = q + np.clip(damped_pinv(J_pos, PINV_DAMPING) @ err, -0.2, 0.2)
     raise ValueError(
         f"position IK did not converge to {target.tolist()} "
         f"(residual {residual:.3e} m); hand pose may be unreachable"
@@ -364,22 +383,17 @@ LOG_COLUMNS = (
 )
 
 
-def run_handover(
-    scenario: Scenario,
-    model: ManipulatorModel | None = None,
-    network: NetworkParams | None = None,
-) -> EpisodeResult:
+def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> EpisodeResult:
     """Simulate one episode; deterministic for a fixed scenario."""
     if scenario.release == "network" and network is None:
         raise ValueError("release='network' requires trained network weights")
-    if model is None:
-        model = default_manipulator(payload_mass=scenario.object_mass)
+    model = default_manipulator(payload_mass=scenario.object_mass)
     n = model.joint_count
     T_r = 1.0 / scenario.control_rate
     safety_params = scenario.safety_params
     adm_params = scenario.admittance_params
     kp, kd = scenario.pd_kp, scenario.pd_kd
-    m_r = apparent_mass(model)
+    pfl = pfl_limit(safety_params, apparent_mass(model))
 
     curve = scenario.curve_params()
     duration = scenario.episode_duration()
@@ -495,13 +509,13 @@ def run_handover(
             wrench = transform_wrench(x_cur.rotation, raw, adm_params.force_weight)
             x_ddot_adm = admittance_accel(adm_params, x_des, x_dot_des, x_ddot_des, x_cur, x_dot, wrench)
             x_dot_adm = integrate_velocity(x_ddot_adm, x_dot, T_r)
-            qd_adm = damped_pinv(J_cur, scenario.pinv_damping) @ x_dot_adm
+            qd_adm = damped_pinv(J_cur, PINV_DAMPING) @ x_dot_adm
         else:
             cur_frames = chain_frames(model, q)
             x_cur = pose_from_frames(model, cur_frames)
             qd_adm = pd_controller(q_des, qd_des, q, q_dot_meas, kp, kd)
 
-        lc = link_constraints(model, cur_frames, human, safety_params, m_r)
+        lc = link_constraints(cur_frames, human, safety_params, T_r, pfl)
         result = optimal_alpha(qd_adm, q_dot_meas, lc.rows, lc.v_max, model.q_dot_max, model.q_ddot_max, T_r)
         alpha = result.alpha
         u = alpha * qd_adm
@@ -649,7 +663,6 @@ class BatchResult:
 def evaluate_batch(
     scenarios: list[Scenario],
     arms: dict[str, tuple[str, str]] | None = None,
-    model: ManipulatorModel | None = None,
     network: NetworkParams | None = None,
 ) -> BatchResult:
     """Run every scenario under each architecture arm on matched seeds."""
@@ -663,7 +676,7 @@ def evaluate_batch(
         successes = premature = failed = violations = 0
         for idx, scenario in enumerate(scenarios):
             run = replace(scenario, controller=controller, release=release)
-            result = run_handover(run, model=model, network=network)
+            result = run_handover(run, network=network)
             m = result.metrics
             episodes.append((arm_name, idx, m))
             violations += m.safety_violations
@@ -701,26 +714,21 @@ def write_episode_csv(result: EpisodeResult, path: str | Path) -> None:
             writer.writerow([f"{v:.9g}" for v in row] + [tag])
 
 
+def _cells(record, columns) -> list:
+    """The named attributes of record as CSV cells, floats to 9 significant digits."""
+    values = (getattr(record, name) for name in columns)
+    return [f"{v:.9g}" if isinstance(v, float) else v for v in values]
+
+
 def write_batch_csvs(batch: BatchResult, episodes_path: str | Path, summary_path: str | Path) -> None:
     with open(episodes_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["arm", "episode", "outcome", "release_time", "release_fraction",
-             "min_separation", "max_directed_speed", "safety_violations"]
-        )
+        writer.writerow(["arm", "episode", *EPISODE_COLUMNS])
         for arm, idx, m in batch.episodes:
-            writer.writerow(
-                [arm, idx, m.outcome, f"{m.release_time:.9g}", f"{m.release_fraction:.9g}",
-                 f"{m.min_separation:.9g}", f"{m.max_directed_speed:.9g}", m.safety_violations]
-            )
+            writer.writerow([arm, idx, *_cells(m, EPISODE_COLUMNS)])
+    summary_columns = [f.name for f in fields(ArmSummary)]
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["arm", "episodes", "successes", "premature_drops", "failed_releases",
-             "failures", "mean_release_latency", "safety_violations"]
-        )
+        writer.writerow(summary_columns)
         for s in batch.summaries:
-            writer.writerow(
-                [s.arm, s.episodes, s.successes, s.premature_drops, s.failed_releases,
-                 s.failures, f"{s.mean_release_latency:.9g}", s.safety_violations]
-            )
+            writer.writerow(_cells(s, summary_columns))

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ManipulatorModel",
     "Pose",
-    "SingularConfigurationError",
     "damped_pinv",
     "Frames",
     "chain_frames",
@@ -26,10 +25,6 @@ __all__ = [
 ]
 
 ROTATION_TOL = 1e-9
-
-
-class SingularConfigurationError(RuntimeError):
-    """Raised when an exact Jacobian inverse is requested at a singularity."""
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,11 +239,10 @@ def jacobian_dot_from_frames(model: ManipulatorModel, frames: Frames, q_dot: np.
     return Jd
 
 
-def damped_pinv(J: np.ndarray, lam: float = 1e-3) -> np.ndarray:
+def damped_pinv(J: np.ndarray, lam: float) -> np.ndarray:
     """Damped least-squares inverse J^T (J J^T + lam^2 I)^-1 of a 6 x n Jacobian.
 
-    lam = 0 demands a well-conditioned square Jacobian and returns the exact
-    inverse; a singular configuration then raises SingularConfigurationError.
+    lam = 0 gives the exact inverse of a full-rank square Jacobian.
     """
     if lam < 0.0:
         raise ValueError("damping must be non-negative")
@@ -256,10 +250,4 @@ def damped_pinv(J: np.ndarray, lam: float = 1e-3) -> np.ndarray:
     A = J @ J.T
     m = A.shape[0]
     A.ravel()[:: m + 1] += lam * lam   # A is a fresh contiguous array: ravel is a view
-    if lam == 0.0:
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularConfigurationError(
-                f"Jacobian is singular (cond(JJ^T) = {cond:.3e}); use lam > 0"
-            )
     return np.linalg.solve(A, J).T

@@ -51,7 +51,6 @@ class SafetyParams:
     """
 
     a_max: float = 2.0
-    T_r: float = 0.002
     C: float = 0.0
     Z_d: float = 0.0
     Z_r: float = 0.0
@@ -63,7 +62,7 @@ class SafetyParams:
     human_radius: float = 0.1
 
     def __post_init__(self) -> None:
-        check_fields(self, positive="a_max T_r F_max p_max A k_spring m_h human_radius",
+        check_fields(self, positive="a_max F_max p_max A k_spring m_h human_radius",
                      non_negative="C Z_d Z_r")
 
 
@@ -94,25 +93,27 @@ class ScalingResult:
             raise ValueError(f"alpha out of [0, 1]: {self.alpha}")
 
 
-def _ssm_vector(params: SafetyParams, separation: np.ndarray, v_h: np.ndarray) -> np.ndarray:
-    a_t = params.a_max * params.T_r
+def _ssm_vector(params: SafetyParams, separation: np.ndarray, v_h: np.ndarray, T_r: float) -> np.ndarray:
+    a_t = params.a_max * T_r
     margin = separation - params.C - params.Z_d - params.Z_r
     tail = -a_t - v_h
     radicand = v_h * v_h + a_t * a_t + 2.0 * params.a_max * margin
     return np.maximum(0.0, np.sqrt(np.maximum(radicand, 0.0)) + tail)
 
 
-def ssm_limit(params: SafetyParams, separation: float, v_h_toward_robot: float) -> float:
+def ssm_limit(params: SafetyParams, separation: float, v_h_toward_robot: float, T_r: float) -> float:
     """Speed limit from separation monitoring, clamped below at zero.
 
-    separation is the hand-to-link distance already reduced by human_radius.
+    separation is the hand-to-link distance already reduced by human_radius;
+    T_r is the reaction time, one control period.
     The limit is zero exactly at the protective boundary separation =
     C + Z_d + Z_r; the paper prints the distance margin and the reaction-time
     term with the opposite sign, which would leave a positive speed there.
     """
     if separation < 0.0:
         raise ValueError("separation must be non-negative")
-    return float(_ssm_vector(params, np.asarray(separation, dtype=float), np.asarray(v_h_toward_robot, dtype=float)))
+    v_h = np.asarray(v_h_toward_robot, dtype=float)
+    return float(_ssm_vector(params, np.asarray(separation, dtype=float), v_h, T_r))
 
 
 def apparent_mass(model: ManipulatorModel) -> float:
@@ -221,15 +222,17 @@ def _lower_triangle(n: int) -> np.ndarray:
 
 
 def link_constraints(
-    model: ManipulatorModel,
     frames: Frames,
     human: HumanState,
     params: SafetyParams,
-    m_r: float,
+    T_r: float,
+    pfl: float,
 ) -> LinkConstraints:
     """Assemble the per-link directed rows and limits for one cycle.
 
-    frames is chain_frames of the current configuration.
+    frames is chain_frames of the current configuration, T_r the reaction
+    time (one control period) and pfl the contact-speed floor, pfl_limit of
+    the arm's apparent mass.
 
     Each moving link point gets its own separation, closing speed, and limit
     (strictly stronger than limiting only the closest point). A link point
@@ -237,8 +240,7 @@ def link_constraints(
     the contact-speed floor governs.
     """
     origins, axes, _, _ = frames
-    n = model.joint_count
-    pfl = pfl_limit(params, m_r)
+    n = len(axes)
     hand = human.hand_position
 
     diffs = hand - origins[1:]                      # (n, 3)
@@ -246,13 +248,13 @@ def link_constraints(
     sep = np.maximum(0.0, dist - params.human_radius)
     if dist.min() >= 1e-9:  # the usual case: every link point has a direction
         versors = diffs / dist[:, None]
-        ssm = _ssm_vector(params, sep, -(versors @ human.hand_velocity))
+        ssm = _ssm_vector(params, sep, -(versors @ human.hand_velocity), T_r)
         v_max = np.maximum(ssm, pfl)
     else:
         safe = dist >= 1e-9
         versors = np.where(safe[:, None], diffs / np.where(safe, dist, 1.0)[:, None], 0.0)
         v_h = -(versors @ human.hand_velocity)
-        ssm = np.where(safe, _ssm_vector(params, sep, v_h), 0.0)
+        ssm = np.where(safe, _ssm_vector(params, sep, v_h, T_r), 0.0)
         v_max = np.where(safe, np.maximum(ssm, pfl), pfl)
 
     # z_j x (p_i - p_j) for every (link point i, joint j <= i) pair at once.

@@ -77,7 +77,7 @@ def trained_detector() -> TrainedDetector:
     val_set = window_dataset(seqs[220:])
     assert len(val_set) >= 10_000
     net = init_network(hidden=64, seed=0, dtype=np.float32)
-    cfg = TrainingConfig(seed=0, max_epochs=3, balancing="undersample", dtype="float32")
+    cfg = TrainingConfig(seed=0, max_epochs=3, dtype="float32")
     start = time.perf_counter()
     net, history = train(net, train_set, None, cfg)
     elapsed = time.perf_counter() - start

@@ -79,11 +79,11 @@ def test_criterion_1_safety_compliance_across_episodes():
 
 
 def test_criterion_2_ssm_boundary_and_value():
-    p = SafetyParams(a_max=2.0, T_r=0.1, C=0.03, Z_d=0.02, Z_r=0.01)
-    boundary = ssm_limit(p, 0.06, 0.0)
+    p = SafetyParams(a_max=2.0, C=0.03, Z_d=0.02, Z_r=0.01)
+    boundary = ssm_limit(p, 0.06, 0.0, 0.1)
     assert abs(boundary) <= 1e-9
-    p0 = SafetyParams(a_max=2.0, T_r=0.1, C=0.0, Z_d=0.0, Z_r=0.0)
-    value = ssm_limit(p0, 1.0, 0.0)
+    p0 = SafetyParams(a_max=2.0, C=0.0, Z_d=0.0, Z_r=0.0)
+    value = ssm_limit(p0, 1.0, 0.0, 0.1)
     assert abs(value - 1.8100) <= 1e-3
     _report(2, f"boundary limit {boundary:.1e}, 1 m limit {value:.4f} m/s")
 

@@ -157,7 +157,8 @@ def test_batch_csv_digests(network, criterion_8_scenarios, tmp_path):
 @pytest.mark.parametrize("dtype", sorted(TINY_TRAINING))
 def test_tiny_training_digest(dtype):
     net = init_network(hidden=4, dense1=8, dense2=4, seed=5, dtype=dtype)
-    cfg = TrainingConfig(batch_size=48, window=50, stride=5, seed=3, max_epochs=2, dtype=dtype)
+    cfg = TrainingConfig(batch_size=48, window=50, stride=5, seed=3, max_epochs=2, dtype=dtype,
+                         balancing="weighted-loss")
     net, history = train(net, tiny_dataset(), tiny_dataset(seeds=(2,)), cfg)
     assert len(history) == 2
     assert training_digest(net, history) == TINY_TRAINING[dtype]
@@ -170,5 +171,6 @@ def test_full_size_training_step_digest():
     y_hat, cache = forward_batch(net, X)
     grads = backward_batch(net, cache, bce_output_grad(one_hot(labels), y_hat))
     assert arrays_digest({"y_hat": y_hat, **grads}) == FULL_SIZE_GRADIENTS
-    trained, history = train(net, windows, None, TrainingConfig(seed=0, max_epochs=1, dtype="float32"))
+    cfg = TrainingConfig(seed=0, max_epochs=1, dtype="float32", balancing="weighted-loss")
+    trained, history = train(net, windows, None, cfg)
     assert training_digest(trained, history) == FULL_SIZE_STEP

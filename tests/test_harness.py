@@ -26,7 +26,7 @@ from handover_sim.harness import (
 )
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import chain_frames
-from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints
+from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints, pfl_limit
 from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
 
 
@@ -217,14 +217,14 @@ def test_hand_near_path_respects_contact_floor():
     assert res.metrics.min_separation <= 0.005
     # per-link compliance, re-derived from the logged state
     model = default_manipulator(payload_mass=sc.object_mass)
-    m_r = apparent_mass(model)
     params = SafetyParams(**sc.safety)
+    pfl = pfl_limit(params, apparent_mass(model))
     hand = np.asarray(sc.handover_hand_pose)
     q_cols = [cols.index(f"q{i}") for i in range(6)]
     u_cols = [cols.index(f"u{i}") for i in range(6)]
     for k in range(0, res.metrics.cycles, 10):
         frames = chain_frames(model, data[k, q_cols])
-        lc = link_constraints(model, frames, HumanState(hand, np.zeros(3)), params, m_r)
+        lc = link_constraints(frames, HumanState(hand, np.zeros(3)), params, 1.0 / sc.control_rate, pfl)
         directed = lc.rows @ data[k, u_cols]
         assert np.all(directed <= lc.v_max + 1e-6)
 
@@ -317,8 +317,8 @@ def test_scenario_round_trip_and_validation():
         Scenario(release="oracle")
     with pytest.raises(ValueError):
         Scenario(control_rate=0.0)
-    with pytest.raises(ValueError, match="control_rate"):
-        Scenario(safety={"T_r": 0.001})
+    with pytest.raises(ValueError, match="grasp_q"):
+        Scenario(grasp_q=(0, 0, 0))
     with pytest.raises(TypeError):
         Scenario(sensor_rate=500.0)
 
@@ -329,9 +329,10 @@ def test_scenario_rejects_unknown_nested_keys():
         safety={"a_max": 1.0, "human_radius": 0.12},
         pd_gains={"kp": 5.0, "kd": 0.2},
         admittance={"mass": 6.0, "k_rot": 10.0},
-        load_curve={"f_L0": 4.0, "noise_sigma": 0.0, "seed": 2},
+        load_curve={"f_L0": 4.0, "noise_sigma": 0.0},
     )
-    for name, key in [("safety", "a_maxx"), ("pd_gains", "kpp"), ("admittance", "M"), ("load_curve", "noise")]:
+    for name, key in [("safety", "a_maxx"), ("safety", "T_r"), ("pd_gains", "kpp"), ("admittance", "M"),
+                      ("load_curve", "noise")]:
         with pytest.raises(ValueError, match=rf"{name}\.{key}\b"):
             Scenario(**{name: {key: 1.0}})
 
@@ -339,10 +340,9 @@ def test_scenario_rejects_unknown_nested_keys():
 def test_scenario_builds_episode_parameters_once(monkeypatch):
     sc = quick_scenario(control_rate=1000.0, safety={"a_max": 1.0}, admittance={"mass": 6.0},
                         load_curve={"noise_sigma": 0.0})
-    assert sc.safety_params == SafetyParams(a_max=1.0, T_r=0.001)
+    assert sc.safety_params == SafetyParams(a_max=1.0)
     assert sc.admittance_params == AdmittanceParams(mass=6.0)
     assert sc.curve_params() is sc.curve_params() and sc.curve_params().noise_sigma == 0.0
-    assert dataclasses.replace(sc, control_rate=500.0).safety_params.T_r == 0.002
     for name, values in [
         ("safety", {"a_max": -1.0}),
         ("admittance", {"mass": -1.0}),
@@ -389,7 +389,8 @@ def test_reaction_time_follows_control_rate():
 
     def first_ssm(T_r):
         frames = chain_frames(model, q0)
-        return link_constraints(model, frames, human, SafetyParams(T_r=T_r), apparent_mass(model)).ssm.min()
+        pfl = pfl_limit(SafetyParams(), apparent_mass(model))
+        return link_constraints(frames, human, SafetyParams(), T_r, pfl).ssm.min()
 
     logged = res.log.data[0, res.log.columns.index("ssm")]
     assert logged == first_ssm(0.001)

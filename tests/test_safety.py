@@ -20,6 +20,8 @@ from handover_sim.safety import (
 
 from conftest import make_model
 
+T_R = 0.002  # reaction time: one period at the default 500 Hz control rate
+
 
 # ---------------------------------------------------------------------------
 # oracles: one link point and one direction at a time (link_constraints
@@ -82,37 +84,37 @@ def test_versor_coincident_points_raise():
 
 def test_ssm_zero_at_protective_boundary():
     p = SafetyParams(C=0.05, Z_d=0.02, Z_r=0.01)
-    assert abs(ssm_limit(p, 0.08, 0.0)) <= 1e-9
+    assert abs(ssm_limit(p, 0.08, 0.0, T_R)) <= 1e-9
 
 
 def test_ssm_scalar_value():
-    p = SafetyParams(a_max=2.0, T_r=0.1, C=0.0, Z_d=0.0, Z_r=0.0)
+    p = SafetyParams(a_max=2.0, C=0.0, Z_d=0.0, Z_r=0.0)
     expected = math.sqrt(0.0**2 + (2.0 * 0.1) ** 2 + 2 * 2.0 * 1.0) - 2.0 * 0.1 - 0.0
-    assert abs(ssm_limit(p, 1.0, 0.0) - expected) < 1e-12
+    assert abs(ssm_limit(p, 1.0, 0.0, 0.1) - expected) < 1e-12
     assert abs(expected - 1.8100) < 1e-3
 
 
 def test_ssm_monotone_in_human_speed():
     p = SafetyParams()
-    limits = [ssm_limit(p, 0.8, v) for v in np.linspace(0.0, 1.5, 12)]
+    limits = [ssm_limit(p, 0.8, v, T_R) for v in np.linspace(0.0, 1.5, 12)]
     assert all(a > b for a, b in zip(limits, limits[1:]))
 
 
 def test_ssm_monotone_in_separation():
     p = SafetyParams()
-    limits = [ssm_limit(p, s, 0.2) for s in np.linspace(0.0, 2.0, 15)]
+    limits = [ssm_limit(p, s, 0.2, T_R) for s in np.linspace(0.0, 2.0, 15)]
     assert all(a <= b + 1e-12 for a, b in zip(limits, limits[1:]))
 
 
 def test_ssm_clamps_below_boundary():
     p = SafetyParams(C=0.2)
-    assert ssm_limit(p, 0.0, 0.0) == 0.0
-    assert ssm_limit(p, 0.05, 0.5) == 0.0
+    assert ssm_limit(p, 0.0, 0.0, T_R) == 0.0
+    assert ssm_limit(p, 0.05, 0.5, T_R) == 0.0
 
 
 def test_ssm_rejects_negative_separation():
     with pytest.raises(ValueError):
-        ssm_limit(SafetyParams(), -0.1, 0.0)
+        ssm_limit(SafetyParams(), -0.1, 0.0, T_R)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ def test_link_constraints_match_modified_jacobian(default_model):
     human = HumanState(rng.uniform(-0.5, 0.5, 3) + [0.0, -0.8, 0.5], rng.normal(size=3) * 0.2)
     params = SafetyParams()
     frames = chain_frames(default_model, q)
-    lc = link_constraints(default_model, frames, human, params, m_r=16.0)
+    lc = link_constraints(frames, human, params, T_R, pfl_limit(params, 16.0))
     pts = frames.origins
     for i in range(1, 7):
         versor = hr_versor(human.hand_position, pts[i])
@@ -453,7 +455,7 @@ def test_link_constraints_match_modified_jacobian(default_model):
         sep = max(0.0, np.linalg.norm(human.hand_position - pts[i]) - params.human_radius)
         assert abs(lc.separation[i - 1] - sep) < 1e-12
         v_h = float(human.hand_velocity @ -versor)
-        assert abs(lc.ssm[i - 1] - ssm_limit(params, sep, v_h)) < 1e-12
+        assert abs(lc.ssm[i - 1] - ssm_limit(params, sep, v_h, T_R)) < 1e-12
         assert abs(lc.v_max[i - 1] - max(lc.ssm[i - 1], lc.pfl)) < 1e-12
 
 
@@ -461,7 +463,8 @@ def test_link_constraints_inside_sphere_floors_separation(default_model):
     frames = chain_frames(default_model, np.zeros(6))
     pts = frames.origins
     human = HumanState(pts[6] + [0.01, 0.0, 0.0], np.zeros(3))  # 1 cm from the end point
-    lc = link_constraints(default_model, frames, human, SafetyParams(human_radius=0.1), m_r=16.0)
+    params = SafetyParams(human_radius=0.1)
+    lc = link_constraints(frames, human, params, T_R, pfl_limit(params, 16.0))
     assert lc.separation[5] == 0.0
     assert lc.v_max[5] == lc.pfl  # contact-speed floor governs at the boundary
 
@@ -476,7 +479,7 @@ def test_link_constraints_point_at_hand_gets_zero_row(default_model):
     pts = frames.origins
     velocity = rng.normal(size=3) * 0.2
     params = SafetyParams()
-    lc = link_constraints(default_model, frames, HumanState(pts[4], velocity), params, m_r=16.0)
+    lc = link_constraints(frames, HumanState(pts[4], velocity), params, T_R, pfl_limit(params, 16.0))
     assert np.all(lc.rows[3] == 0.0)
     assert lc.ssm[3] == 0.0 and lc.separation[3] == 0.0
     assert lc.v_max[3] == lc.pfl
@@ -484,7 +487,7 @@ def test_link_constraints_point_at_hand_gets_zero_row(default_model):
         versor = hr_versor(pts[4], pts[i])
         assert np.allclose(lc.rows[i - 1], modified_jacobian(default_model, q, versor, i), atol=1e-12)
         sep = max(0.0, np.linalg.norm(pts[4] - pts[i]) - params.human_radius)
-        assert abs(lc.ssm[i - 1] - ssm_limit(params, sep, float(velocity @ -versor))) < 1e-12
+        assert abs(lc.ssm[i - 1] - ssm_limit(params, sep, float(velocity @ -versor), T_R)) < 1e-12
 
 
 def test_safety_params_validation():
