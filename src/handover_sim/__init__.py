@@ -1,6 +1,6 @@
 """Deterministic simulation of safe, compliant robot-to-human handovers.
 
-Subsystems: serial-arm kinematics, quintic/spline trajectory planning with a
+Subsystems: serial-arm kinematics, closed-form quintic trajectory planning with a
 scalable timing law, Cartesian admittance control, per-link ISO/TS 15066
 velocity limiting with an exact online scaling optimization, a learned
 force-sequence release detector with a force-threshold baseline, and an

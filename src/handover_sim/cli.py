@@ -22,7 +22,7 @@ import numpy as np
 from .config import apply_overrides, load_json
 from .detector.curves import generate_handover_sequence, sample_curve_params
 from .detector.dataset import load_sequence_csv, save_sequence_csv, window_dataset
-from .detector.network import init_network, load_weights, save_weights
+from .detector.network import HIDDEN, init_network, load_weights, save_weights
 from .detector.training import TrainingConfig, evaluate_loss, train
 from .harness import (
     ARMS,
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--dataset", required=True, help="directory of seq_*.csv files")
     p.add_argument("--resume", help="continue from an existing weights file")
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--hidden", type=int, default=HIDDEN)
     cfg = TrainingConfig()
     p.add_argument("--batch-size", type=int, default=cfg.batch_size)
     p.add_argument("--learning-rate", type=float, default=cfg.learning_rate)

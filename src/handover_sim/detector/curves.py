@@ -102,7 +102,6 @@ def sample_curve_params(
     rng: np.random.Generator,
     disturbed: bool = True,
     engagement_range: tuple[float, float] = (1.2, 2.0),
-    f_L0_range: tuple[float, float] = (2.0, 15.0),
 ) -> LoadCurveParams:
     """Draw one randomized transfer schedule from the shared family.
 
@@ -112,7 +111,7 @@ def sample_curve_params(
     (the failure mode that defeats a plain force threshold): one lands in the
     pre-handover hold, one mid-transfer, each present with probability 0.7.
     """
-    f_L0 = float(rng.uniform(*f_L0_range))
+    f_L0 = float(rng.uniform(2.0, 15.0))
     engagement = float(rng.uniform(*engagement_range))
     transfer = float(rng.uniform(0.3, 0.45))
     events: list[tuple[float, float, float]] = []

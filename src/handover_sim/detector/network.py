@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-7
+HIDDEN = 64                     # default LSTM width
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ _ARRAY_NAMES = tuple(f.name for f in fields(NetworkParams))
 
 def init_network(
     input_size: int = 6,
-    hidden: int = 64,
+    hidden: int = HIDDEN,
     dense1: int = 512,
     dense2: int = 256,
     seed: int = 0,

@@ -1,8 +1,8 @@
 """Scenario simulation of complete handover episodes.
 
 One episode runs the full controller stack at the control rate: advance the
-path parameter by the previous scaling factor, sample the spline, map to
-Cartesian references, compute the compliant (or baseline PD) joint-velocity
+path parameter by the previous scaling factor, evaluate the plan's
+closed-form polynomial at it, map to Cartesian references, compute the compliant (or baseline PD) joint-velocity
 command, scale it through the safety optimization, and integrate the
 velocity-controlled plant. A scripted hand, a schedule-driven wrist sensor,
 and a release monitor close the loop; opening the gripper triggers a retreat
@@ -38,14 +38,7 @@ from .kinematics import (
     pose_from_frames,
 )
 from .safety import HumanState, SafetyParams, apparent_mass, link_constraints, optimal_alpha, pfl_limit
-from .trajectory import (
-    PathParameter,
-    QuinticTrajectory,
-    advance_parameter,
-    fit_cubic_spline,
-    plan_quintic,
-    sample_spline,
-)
+from .trajectory import POLY_ROWS, PathParameter, advance_parameter, fit_cubic_spline, plan_quintic, sample_spline
 
 __all__ = [
     "Scenario",
@@ -325,22 +318,22 @@ def limit_respecting_duration(model: ManipulatorModel, delta_q: np.ndarray, requ
     return max(requested, 1.1 * t_vel, t_acc)
 
 
-def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: float):
-    """Constant-deceleration ramp to rest, planned like any other segment.
+def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: float) -> tuple[np.ndarray, float]:
+    """Constant-deceleration ramp to rest: its position polynomial and duration T.
 
-    Keeps the retreat replan C1: without it, opening the gripper mid-motion
-    would snap the reference velocity to zero in one cycle.
+    q(s) = q + q_dot s - q_dot s^2 / (2 T), zero-padded to the plan degree,
+    so it is followed like any other segment. Keeps the retreat replan C1:
+    without it, opening the gripper mid-motion would snap the reference
+    velocity to zero in one cycle.
     """
     speed = np.abs(q_dot)
     T = float(np.max(speed / (0.5 * model.q_ddot_max)))
     T = max(T, 4.0 / rate)
-    count = max(4, int(round(T * rate)))
-    times = np.linspace(0.0, T, count)
-    decel = q_dot / T
-    q_s = q + np.outer(times, q_dot) - 0.5 * np.outer(times**2, decel)
-    qd_s = q_dot - np.outer(times, decel)
-    qdd_s = np.tile(-decel, (count, 1))
-    return QuinticTrajectory(times=times, q=q_s, q_dot=qd_s, q_ddot=qdd_s), T
+    poly = np.zeros((POLY_ROWS, len(q)))
+    poly[0] = q
+    poly[1] = q_dot
+    poly[2] = -0.5 * (q_dot / T)
+    return poly, T
 
 
 def position_ik(
@@ -407,13 +400,12 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     grasp_q = np.asarray(scenario.grasp_q, dtype=float)
     end_q = position_ik(model, scenario.handover_hand_pose, grasp_q, tol=1e-8)
 
-    def follow(plan: QuinticTrajectory):
-        """Spline a planned segment and start the timing law at its head."""
-        new = fit_cubic_spline(plan)
-        return new, PathParameter(s=new.start_time, s_dot=1.0, t_final=new.end_time)
+    def follow(poly: np.ndarray, T: float):
+        """Differentiate a planned polynomial and start the timing law at its head."""
+        return fit_cubic_spline(poly, T), PathParameter(s=0.0, s_dot=1.0, t_final=T)
 
     plan_T = limit_respecting_duration(model, end_q - grasp_q, scenario.plan_duration)
-    spline, path = follow(plan_quintic(grasp_q, end_q, plan_T, scenario.control_rate))
+    segment, path = follow(*plan_quintic(grasp_q, end_q, plan_T))
 
     if scenario.release == "network":
         monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(
@@ -432,12 +424,12 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     deadline = curve.schedule_end + scenario.release_timeout
     end_time = duration
     admittance = scenario.controller == "admittance"
-    # The reference is resampled only when the path parameter or the spline
+    # The reference is resampled only when the path parameter or the segment
     # changes; while the timing law holds still (alpha = 0, or s at the end of
     # the plan) the previous cycle's reference is exact. The PD baseline
     # tracks joint references and never needs their Cartesian image.
     ref_s = math.nan
-    ref_spline = None
+    ref_segment = None
     q_pair = np.empty((2, n))        # (q_des, q): both chains in one FK call
 
     data = np.empty((max_cycles, len(LOG_COLUMNS)))
@@ -472,22 +464,22 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
                     if pending_retreat:
                         # brake to rest first so the retreat reference starts C1
                         stop, stop_T = _plan_stop(q, q_dot_meas, model, scenario.control_rate)
-                        spline, path = follow(stop)
+                        segment, path = follow(stop, stop_T)
                     else:
-                        spline, path = follow(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
+                        segment, path = follow(*plan_quintic(q, grasp_q, retreat_T))
                 end_time = min(end_time, t + stop_T + retreat_T + scenario.episode_tail)
             elif t > deadline:
                 end_time = t  # receiver gave up waiting; episode is a failed release
-        if pending_retreat and path.s >= spline.end_time - 1e-9:
+        if pending_retreat and path.s >= segment.duration - 1e-9:
             retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-            spline, path = follow(plan_quintic(q, grasp_q, retreat_T, scenario.control_rate))
+            segment, path = follow(*plan_quintic(q, grasp_q, retreat_T))
             pending_retreat = False
         # advance the timing law with the previous cycle's scaling factor
         path = advance_parameter(path, alpha, T_r)
-        ref_moved = path.s != ref_s or spline is not ref_spline
+        ref_moved = path.s != ref_s or segment is not ref_segment
         if ref_moved:
-            q_des, qd_des, qdd_des = sample_spline(spline, path.s)
-            ref_s, ref_spline = path.s, spline
+            q_des, qd_des, qdd_des = sample_spline(segment, path.s)
+            ref_s, ref_segment = path.s, segment
 
         if admittance:
             if ref_moved:

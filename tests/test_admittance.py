@@ -223,7 +223,7 @@ def test_transform_wrench_axis_flip():
 # closed-loop contracts
 
 def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
-    """Minimal controller loop: spline reference + admittance + ideal plant.
+    """Minimal controller loop: planned reference + admittance + ideal plant.
 
     Returns the terminal tracking error after the end-of-trajectory hold;
     mid-motion lag under acceleration is the designed compliance, so the
@@ -232,7 +232,7 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
     params = AdmittanceParams()
     start = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
     end = start + np.array([0.5, 0.25, -0.3, 0.2, 0.3, -0.4])
-    spline = fit_cubic_spline(plan_quintic(start, end, duration, rate))
+    seg = fit_cubic_spline(*plan_quintic(start, end, duration))
     T_r = 1.0 / rate
     steps = int(round((duration + hold) * rate))
     q = start.copy()
@@ -240,7 +240,7 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
     err = 0.0
     for k in range(steps):
         s = min(k * T_r, duration)
-        q_des, qd_des, qdd_des = sample_spline(spline, s)
+        q_des, qd_des, qdd_des = sample_spline(seg, s)
         x_des, xd_des, xdd_des = to_cartesian(default_model, q_des, qd_des, qdd_des)
         frames = chain_frames(default_model, q)
         x = pose_from_frames(default_model, frames)
@@ -253,7 +253,7 @@ def _closed_loop(default_model, force_fn, duration=2.5, rate=500.0, hold=0.5):
         q = q + qd_cmd * T_r
         qd_meas = qd_cmd
         err = float(np.abs(q - q_des).max())
-    return q, err, spline
+    return q, err, seg
 
 
 def test_zero_force_tracking(default_model):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -9,9 +10,10 @@ from handover_sim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from handover_sim.detector import load_sequence_csv, window_dataset
+from handover_sim.detector import TrainingConfig, init_network, load_sequence_csv, window_dataset
 from handover_sim.config import apply_overrides
 
 
@@ -286,6 +288,16 @@ def test_train_rejected_flag_is_usage_error(tmp_path, capsys, flag, name):
     assert code == EXIT_USAGE
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_train_flag_defaults_come_from_their_one_home():
+    args = build_parser().parse_args(["train", "--dataset", "data"])
+    cfg = TrainingConfig()
+    assert args.hidden == inspect.signature(init_network).parameters["hidden"].default
+    assert (args.batch_size, args.learning_rate, args.patience, args.epochs, args.balancing,
+            args.window, args.stride, args.seed) == (cfg.batch_size, cfg.learning_rate, cfg.patience,
+                                                     cfg.max_epochs, cfg.balancing, cfg.window,
+                                                     cfg.stride, cfg.seed)
 
 
 def test_train_missing_dataset(tmp_path):

@@ -278,13 +278,13 @@ def test_compliance_corridor():
     model = default_manipulator(payload_mass=sc.object_mass)
     end_q = position_ik(model, sc.handover_hand_pose, grasp, tol=1e-8)
     plan_T = limit_respecting_duration(model, end_q - grasp, sc.plan_duration)
-    spline = fit_cubic_spline(plan_quintic(grasp, end_q, plan_T, sc.control_rate))
+    seg = fit_cubic_spline(*plan_quintic(grasp, end_q, plan_T))
     x_cols = [cols.index(c) for c in ("x", "y", "z")]
     worst = 0.0
     for k in range(res.metrics.cycles):
         if data[k, cols.index("gripper")] > 0:
             break  # retreat replans the reference
-        q_des = sample_spline(spline, data[k, cols.index("s")])[0]
+        q_des = sample_spline(seg, data[k, cols.index("s")])[0]
         x_des = chain_frames(model, q_des).tool
         worst = max(worst, float(np.linalg.norm(data[k, x_cols] - x_des)))
     bound = (sc.object_mass * 9.81 + 3.0) / 400.0  # payload + pull, K_trans

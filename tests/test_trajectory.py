@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from handover_sim.config import default_manipulator
+from handover_sim.harness import _plan_stop
 from handover_sim.kinematics import chain_frames, jacobian_dot_from_frames, jacobian_from_frames, pose_from_frames
 from handover_sim.trajectory import (
+    POLY_ROWS,
     PathParameter,
-    QuinticTrajectory,
     advance_parameter,
     fit_cubic_spline,
     plan_quintic,
@@ -42,137 +46,172 @@ def quintic_oracle(q0, q1, T, t):
 # ---------------------------------------------------------------------------
 # quintic planning
 
+def segment(q0, q1, T):
+    return fit_cubic_spline(*plan_quintic(q0, q1, T))
+
+
 def test_plan_degenerate_constant():
     q = np.array([0.5, -0.2])
-    traj = plan_quintic(q, q, 1.0, 100.0)
-    assert np.allclose(traj.q, q)
-    assert np.allclose(traj.q_dot, 0.0)
-    assert np.allclose(traj.q_ddot, 0.0)
+    seg = segment(q, q, 1.0)
+    for s in np.linspace(0.0, 1.0, 11):
+        pos, vel, acc = sample_spline(seg, s)
+        assert np.allclose(pos, q)
+        assert np.allclose(vel, 0.0)
+        assert np.allclose(acc, 0.0)
 
 
 def test_plan_midpoint_symmetry():
-    traj = plan_quintic([0.0], [1.0], 2.0, 1000.5)  # odd count puts t=1 on the grid
-    mid = len(traj.times) // 2
-    assert abs(traj.times[mid] - 1.0) < 1e-12
-    assert abs(traj.q[mid, 0] - 0.5) < 1e-12
+    q, _, _ = sample_spline(segment([0.0], [1.0], 2.0), 1.0)
+    assert abs(q[0] - 0.5) < 1e-12
 
 
 def test_plan_peak_velocity():
     # delta 1 rad over 2 s: peak rate is 15/(8*2) at the midpoint
-    traj = plan_quintic([0.0], [1.0], 2.0, 2000.0)
-    assert abs(traj.q_dot.max() - 15.0 / 16.0) < 1e-6
-    assert abs(traj.times[np.argmax(traj.q_dot[:, 0])] - 1.0) < 1e-3
+    seg = segment([0.0], [1.0], 2.0)
+    grid = np.linspace(0.0, 2.0, 4001)
+    q_dot = np.array([sample_spline(seg, s)[1][0] for s in grid])
+    assert abs(q_dot.max() - 15.0 / 16.0) < 1e-6
+    assert abs(grid[np.argmax(q_dot)] - 1.0) < 1e-3
 
 
 def test_plan_boundary_conditions():
-    traj = plan_quintic([0.1, -0.3], [1.2, 0.4], 1.5, 500.0)
-    assert np.allclose(traj.q[0], [0.1, -0.3], atol=1e-9)
-    assert np.allclose(traj.q[-1], [1.2, 0.4], atol=1e-9)
-    for arr in (traj.q_dot, traj.q_ddot):
-        assert np.allclose(arr[0], 0.0, atol=1e-9)
-        assert np.allclose(arr[-1], 0.0, atol=1e-9)
-
-
-def test_plan_sample_count():
-    traj = plan_quintic([0.0], [1.0], 2.0, 500.0)
-    assert len(traj.times) == 1000
+    seg = segment([0.1, -0.3], [1.2, 0.4], 1.5)
+    for s, q_end in ((0.0, [0.1, -0.3]), (1.5, [1.2, 0.4])):
+        q, q_dot, q_ddot = sample_spline(seg, s)
+        assert np.allclose(q, q_end, atol=1e-9)
+        assert np.allclose(q_dot, 0.0, atol=1e-9)
+        assert np.allclose(q_ddot, 0.0, atol=1e-9)
 
 
 def test_plan_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        plan_quintic([0.0], [1.0], 0.0, 100.0)
+        plan_quintic([0.0], [1.0], 0.0)
     with pytest.raises(ValueError):
-        plan_quintic([0.0], [1.0], 1.0, -5.0)
+        plan_quintic([0.0], [1.0], -5.0)
     with pytest.raises(ValueError):
-        plan_quintic([0.0, 0.0], [1.0], 1.0, 100.0)
+        plan_quintic([0.0, 0.0], [1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
-# cubic splines
+# closed-form segments against the analytic quintic, over random plans
 
-def test_spline_interpolates_knots():
-    traj = plan_quintic([0.0, 1.0], [1.0, -1.0], 1.0, 100.0)
-    spline = fit_cubic_spline(traj)
-    for k in (0, 17, 50, 99):
-        q, qd, qdd = sample_spline(spline, traj.times[k])
-        assert np.abs(q - traj.q[k]).max() < 1e-9
-        assert np.abs(qd - traj.q_dot[k]).max() < 1e-9
-        assert np.abs(qdd - traj.q_ddot[k]).max() < 1e-9
+_joint = st.floats(-np.pi, np.pi)
+_plans = st.tuples(
+    st.lists(_joint, min_size=1, max_size=6),
+    st.lists(_joint, min_size=6, max_size=6),
+    st.floats(0.2, 4.0),
+).map(lambda p: (np.array(p[0]), np.array(p[1][: len(p[0])]), p[2]))
 
 
-def test_spline_reproduces_linear_data():
-    times = np.linspace(0.0, 1.0, 20)
-    q = np.outer(times, [2.0]) + 0.5
-    traj = QuinticTrajectory(times=times, q=q, q_dot=np.full_like(q, 2.0), q_ddot=np.zeros_like(q))
-    spline = fit_cubic_spline(traj)
+@settings(max_examples=200, deadline=None)
+@given(_plans)
+def test_quintic_hits_endpoints_at_rest(plan):
+    q0, q1, T = plan
+    seg = segment(q0, q1, T)
+    for s, q_end in ((0.0, q0), (T, q1)):
+        q, q_dot, q_ddot = sample_spline(seg, s)
+        assert np.abs(q - q_end).max() < 1e-9
+        assert np.abs(q_dot).max() < 1e-9
+        assert np.abs(q_ddot).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plans, st.floats(0.0, 1.0))
+def test_quintic_matches_analytic_oracle(plan, frac):
+    q0, q1, T = plan
+    s = frac * T
+    got = sample_spline(segment(q0, q1, T), s)
+    for value, want in zip(got, quintic_oracle(q0, q1, T, s)):
+        assert np.abs(value - want).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plans, st.floats(0.01, 0.99))
+def test_quintic_rates_match_central_differences(plan, frac):
+    # q_dot is the derivative of q, and q_ddot of q_dot, at every s
+    q0, q1, T = plan
+    seg = segment(q0, q1, T)
+    s, h = frac * T, 1e-6
+    plus, here, minus = (sample_spline(seg, x) for x in (s + h, s, s - h))
+    assert np.abs((plus[0] - minus[0]) / (2 * h) - here[1]).max() < 1e-6
+    assert np.abs((plus[1] - minus[1]) / (2 * h) - here[2]).max() < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plans, st.floats(0.0, 0.5))
+def test_quintic_midpoint_symmetry(plan, frac):
+    # q is point-symmetric about (T/2, (q0 + q1)/2); q_dot is mirror-symmetric
+    q0, q1, T = plan
+    seg = segment(q0, q1, T)
+    assert np.abs(sample_spline(seg, 0.5 * T)[0] - 0.5 * (q0 + q1)).max() < 1e-12
+    before, after = sample_spline(seg, (0.5 - frac) * T), sample_spline(seg, (0.5 + frac) * T)
+    assert np.abs(before[0] + after[0] - (q0 + q1)).max() < 1e-9
+    assert np.abs(before[1] - after[1]).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plans)
+def test_quintic_peak_speed(plan):
+    # the largest joint rate is 1.875 |delta| / T, reached at the midpoint
+    q0, q1, T = plan
+    seg = segment(q0, q1, T)
+    peak = 1.875 * np.abs(q1 - q0) / T
+    assert np.abs(np.abs(sample_spline(seg, 0.5 * T)[1]) - peak).max() < 1e-9
+    grid = np.linspace(0.0, T, 201)
+    assert max(np.abs(sample_spline(seg, s)[1]).max() - peak.max() for s in grid) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), st.lists(_joint, min_size=6, max_size=6))
+def test_stop_ramp_reaches_rest(q_dot, q):
+    # the stop ramp leaves q with rate q_dot and is at rest at T, braking at
+    # no more than half the acceleration box
+    model = default_manipulator()
+    q, q_dot = np.array(q), np.array(q_dot)
+    poly, T = _plan_stop(q, q_dot, model, 500.0)
+    seg = fit_cubic_spline(poly, T)
+    start, end = sample_spline(seg, 0.0), sample_spline(seg, T)
+    assert np.abs(start[0] - q).max() < 1e-12
+    assert np.abs(start[1] - q_dot).max() < 1e-12
+    assert np.abs(end[1]).max() < 1e-9
+    assert np.abs(end[0] - (q + 0.5 * q_dot * T)).max() < 1e-9
+    assert np.all(np.abs(start[2]) <= 0.5 * model.q_ddot_max + 1e-9)
+    assert T >= 4.0 / 500.0
+
+
+def test_fit_reproduces_low_degree_polynomials():
+    # a linear plan zero-padded to the plan degree stays exactly linear
+    poly = np.zeros((POLY_ROWS, 1))
+    poly[0], poly[1] = 0.5, 2.0
+    seg = fit_cubic_spline(poly, 1.0)
     for s in np.linspace(0.0, 1.0, 57):
-        qs, _, _ = sample_spline(spline, s)
-        assert abs(qs[0] - (2.0 * s + 0.5)) < 1e-9
+        q, q_dot, q_ddot = sample_spline(seg, s)
+        assert abs(q[0] - (2.0 * s + 0.5)) < 1e-12
+        assert q_dot[0] == 2.0 and q_ddot[0] == 0.0
 
 
-def test_spline_mid_knot_matches_quintic():
-    traj = plan_quintic([0.0], [1.0], 1.0, 100.0)
-    spline = fit_cubic_spline(traj)
-    rng = np.random.default_rng(0)
-    for s in rng.uniform(0.0, 1.0, 50):
-        q = sample_spline(spline, s)[0]
-        assert abs(q[0] - quintic_oracle(0.0, 1.0, 1.0, s)[0]) < 1e-5
-    # the rate block is its own interpolant; natural ends are less accurate
-    for s in rng.uniform(0.05, 0.95, 50):
-        qd = sample_spline(spline, s)[1]
-        assert abs(qd[0] - quintic_oracle(0.0, 1.0, 1.0, s)[1]) < 1e-4
-
-
-def test_spline_too_few_samples():
-    traj = plan_quintic([0.0], [1.0], 0.01, 300.0)
-    assert len(traj.times) == 3
+def test_fit_rejects_wrong_degree():
     with pytest.raises(ValueError):
-        fit_cubic_spline(traj)
-
-
-def test_spline_c2_continuity():
-    traj = plan_quintic([0.0, -0.5], [1.0, 0.5], 1.0, 50.0)
-    spline = fit_cubic_spline(traj)
-    # one-sided second derivatives straight from the coefficient table: on
-    # interval i the cubic is c3 dx^3 + c2 dx^2 + c1 dx + c0, so its second
-    # derivative is 6 c3 dx + 2 c2
-    c = spline.coeffs
-    widths = np.diff(spline.knots)[:, None]
-    left = 6.0 * c[:-1, 0] * widths[:-1] + 2.0 * c[:-1, 1]   # end of interval i
-    right = 2.0 * c[1:, 1]                                     # start of interval i + 1
-    assert np.abs(left - right).max() < 1e-6
-
-
-def test_three_spline_consistency():
-    # velocity spline vs derivative of position spline stays within the
-    # documented 1e-3 tolerance for independently splined blocks
-    traj = plan_quintic([0.0], [1.0], 1.0, 500.0)
-    spline = fit_cubic_spline(traj)
-    h = 1e-6
-    rng = np.random.default_rng(1)
-    for s in rng.uniform(0.05, 0.95, 30):
-        qp = sample_spline(spline, s + h)[0][0]
-        qm = sample_spline(spline, s - h)[0][0]
-        qd = sample_spline(spline, s)[1][0]
-        assert abs((qp - qm) / (2 * h) - qd) < 1e-3
+        fit_cubic_spline(np.zeros((4, 2)), 1.0)
+    with pytest.raises(ValueError):
+        fit_cubic_spline(np.zeros(POLY_ROWS), 1.0)
 
 
 # ---------------------------------------------------------------------------
-# spline sampling and clamping
+# segment sampling and clamping
 
 def test_sample_boundaries():
-    traj = plan_quintic([0.2], [0.9], 1.0, 100.0)
-    spline = fit_cubic_spline(traj)
-    q, qd, qdd = sample_spline(spline, 0.0)
+    seg = segment([0.2], [0.9], 1.0)
+    q, qd, qdd = sample_spline(seg, 0.0)
     assert abs(q[0] - 0.2) < 1e-9 and abs(qd[0]) < 1e-9 and abs(qdd[0]) < 1e-9
-    q, qd, qdd = sample_spline(spline, 5.0)  # beyond the horizon: clamp
+    q, qd, qdd = sample_spline(seg, 5.0)  # beyond the horizon: clamp
     assert abs(q[0] - 0.9) < 1e-9 and abs(qd[0]) < 1e-9 and abs(qdd[0]) < 1e-9
+    q, _, _ = sample_spline(seg, -1.0)
+    assert abs(q[0] - 0.2) < 1e-9
 
 
 def test_sample_midpoint_analytic():
-    traj = plan_quintic([0.0], [2.0], 2.0, 500.0)
-    spline = fit_cubic_spline(traj)
-    q, qd, _ = sample_spline(spline, 1.0)
+    q, qd, _ = sample_spline(segment([0.0], [2.0], 2.0), 1.0)
     oq, oqd, _ = quintic_oracle(0.0, 2.0, 2.0, 1.0)
     assert abs(q[0] - oq) < 1e-5
     assert abs(qd[0] - oqd) < 1e-5
@@ -210,15 +249,14 @@ def test_advance_monotone_in_alpha():
 
 def test_path_integrity_two_alpha_schedules():
     # whatever the alpha sequence, every visited reference lies on the path
-    traj = plan_quintic([0.0, 1.0], [1.0, 0.0], 1.0, 200.0)
-    spline = fit_cubic_spline(traj)
+    seg = segment([0.0, 1.0], [1.0, 0.0], 1.0)
     rng = np.random.default_rng(3)
     for schedule in (np.full(400, 1.0), rng.uniform(0.0, 1.0, 400)):
         p = PathParameter(s=0.0, s_dot=1.0, t_final=1.0)
         for alpha in schedule:
             p = advance_parameter(p, float(alpha), 0.002)
-            q_visited = sample_spline(spline, p.s)[0]
-            q_on_path = sample_spline(spline, min(max(p.s, 0.0), 1.0))[0]
+            q_visited = sample_spline(seg, p.s)[0]
+            q_on_path = sample_spline(seg, min(max(p.s, 0.0), 1.0))[0]
             assert np.abs(q_visited - q_on_path).max() < 1e-9
 
 
@@ -233,14 +271,13 @@ def test_to_cartesian_zero_rates(default_model):
 
 
 def test_to_cartesian_velocity_matches_fd(default_model):
-    traj = plan_quintic(np.zeros(6), np.random.default_rng(42).uniform(-1, 1, 6), 2.0, 500.0)
-    spline = fit_cubic_spline(traj)
+    seg = segment(np.zeros(6), np.random.default_rng(42).uniform(-1, 1, 6), 2.0)
     h = 1e-6
     for s in (0.4, 1.0, 1.7):
-        q, qd, qdd = sample_spline(spline, s)
+        q, qd, qdd = sample_spline(seg, s)
         _, xd, _ = to_cartesian(default_model, q, qd, qdd)
-        qp = sample_spline(spline, s + h)[0]
-        qm = sample_spline(spline, s - h)[0]
+        qp = sample_spline(seg, s + h)[0]
+        qm = sample_spline(seg, s - h)[0]
         fd = (chain_frames(default_model, qp).tool - chain_frames(default_model, qm).tool) / (2 * h)
         assert np.abs(xd[:3] - fd).max() < 1e-4
 
