@@ -45,16 +45,16 @@ from test_detector_training import tiny_dataset
 WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz"
 WEIGHTS_SHA256 = "b91b88b017eb3858984a59ad7cb4f5b44fb88f674691473f76680c2571b31ac9"
 
-CRITERION_9_EPISODE = "cfaf4d65f7f8f756d51472a61f1915d05b4a0ca9117f7211a7b017e1c408e4bd"
+CRITERION_9_EPISODE = "a13e9b04d747fa3c1f6a8f45bbdab632752d260adfaae40d5482a37286b82f0f"
 
 # (criterion-8 scenario index, arm) -> episode.csv digest, with its outcome
 CRITERION_8_EPISODES = {
-    (0, "proposed"): "3db6a2c47c6a728263c0b60ab5ecd4c6ade0c1c60a507157ecad23130bf71137",  # success
-    (0, "baseline"): "6bdc296dbc96cc229644df22a44f22cb9d0e21b69a95ba2af614e6cd8d97158c",  # premature_drop
-    (5, "proposed"): "70a31551397f62a100fdea9abd39f9228d342291aa6d93276fe43e2a3c71a433",  # success
-    (5, "baseline"): "9fac987eed0f3174fb225c0ca9ed57c2d850b3188df6ffaf9678d9b107dff6a1",  # success
-    (55, "proposed"): "68ec4156c83ef3af9960e14132a0490bb77d89642390e7d16ec47dd4972ea5bc",  # premature_drop
-    (55, "baseline"): "20142ade1761d7f5908be3ebfc99f88c9e38cd57a558598c39c927c5dd55207f",  # success
+    (0, "proposed"): "6fca48f83b4d8c5416780973b0176c6cf34757ff0a6d0bd0632a92e512bef7da",  # success
+    (0, "baseline"): "0b9f706783c6ed89641cb41a281f61265b38451d7ce939956a16c93f014f941f",  # premature_drop
+    (5, "proposed"): "f16522fdc765800e18e2ec388099d2d89c4d9c4d597f6054e555a8f0ec584082",  # success
+    (5, "baseline"): "a9580cf9313719127ca83f66d5d20e4af177e12e8340d972121fc4f464920d4e",  # success
+    (55, "proposed"): "aad7adadd74e3eea1fbdd7c891fca14f59f8f47aa540aecf8820a13935e118d8",  # premature_drop
+    (55, "baseline"): "d90eb53b39869725b3b09f85fd27bc57bd4be0f9918eee269609a810735071e3",  # success
 }
 
 # criterion-8 scenario index -> digest of the float64 bytes of the proposed
@@ -68,7 +68,7 @@ CRITERION_8_DET_OUT = {
 }
 
 # evaluate_batch over criterion-8 scenarios 0 and 1, both arms
-BATCH_EPISODES = "d9e18f5c0a609d1f7d6122725317126f454446c41720a6d6d06d16c74b0c37ac"
+BATCH_EPISODES = "fb0a182bad72c84a5aa3a4b01f71350b6699aeb2f041d4a40f29df7be2c443a8"
 BATCH_SUMMARY = "e9852931cac2d8bea711727cdf4448c543a1480ec3c46c739d8cb4af1e8dd172"
 
 # train() on the two-trace tiny corpus (262 windows, batch 48: five full
