@@ -2,11 +2,12 @@
 
 One episode runs the full controller stack at the control rate: advance the
 path parameter by the previous scaling factor, evaluate the plan's
-closed-form polynomial at it, map to Cartesian references, compute the compliant (or baseline PD) joint-velocity
-command, scale it through the safety optimization, and integrate the
-velocity-controlled plant. A scripted hand, a schedule-driven wrist sensor,
-and a release monitor close the loop; opening the gripper triggers a retreat
-plan back to the grasp configuration.
+closed-form polynomial at it, map to Cartesian references, compute the
+compliant (or baseline PD) joint-velocity command, scale it through the
+safety optimization, and integrate the velocity-controlled plant. A
+scripted hand, a schedule-driven wrist sensor, and a release monitor close
+the loop; opening the gripper triggers a retreat plan back to the grasp
+configuration.
 
 The plant is the ideal velocity integrator (commands are realized exactly at
 the control rate); the sensor trace is generated, not contact-simulated, and

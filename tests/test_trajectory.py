@@ -96,11 +96,11 @@ def test_plan_rejects_bad_inputs():
 # closed-form segments against the analytic quintic, over random plans
 
 _joint = st.floats(-np.pi, np.pi)
-_plans = st.tuples(
-    st.lists(_joint, min_size=1, max_size=6),
-    st.lists(_joint, min_size=6, max_size=6),
+_plans = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_joint, min_size=n, max_size=n).map(np.array),
+    st.lists(_joint, min_size=n, max_size=n).map(np.array),
     st.floats(0.2, 4.0),
-).map(lambda p: (np.array(p[0]), np.array(p[1][: len(p[0])]), p[2]))
+))  # (q0, q1, T) with 1-6 joints
 
 
 @settings(max_examples=200, deadline=None)
