@@ -43,11 +43,6 @@ class WindowDataset:
     def __len__(self) -> int:
         return len(self.refs)
 
-    def __getitem__(self, idx: int) -> tuple[np.ndarray, int]:
-        seq_idx, start = self.refs[idx]
-        wrench = self.sequences[seq_idx].wrench
-        return wrench[start : start + self.window], int(self.labels[idx])
-
     def gather(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Materialize a batch: (len(indices), window, 6) plus labels."""
         out = np.empty((len(indices), self.window, 6))

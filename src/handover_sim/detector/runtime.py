@@ -153,27 +153,26 @@ class ThresholdReleaseMonitor:
     """Force-threshold baseline: open at a sustained drop of the load reading.
 
     The object weight is calibrated as the mean |Fz| over the first
-    calibration_samples readings of the hold phase; release triggers after
-    hold_samples consecutive readings with |Fz| <= (1 - theta) * f_L0.
+    calibration_time seconds of readings; release triggers once |Fz| <=
+    (1 - theta) * f_L0 has held for hold_time seconds. Each duration becomes
+    a sample count at the reading rate once, rounded up (250 and 25 at 500 Hz).
     """
 
     def __init__(
         self,
+        rate: float,
         theta: float = 0.8,
-        hold_samples: int = 25,
-        calibration_samples: int = 250,
+        hold_time: float = 0.05,
+        calibration_time: float = 0.5,
     ):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if hold_samples < 1:
-            raise ValueError("hold_samples must be >= 1")
-        if calibration_samples < 1:
-            raise ValueError(
-                f"calibration window too short: need >= 1 sample, got {calibration_samples}"
-            )
+        for name, value in (("rate", rate), ("hold_time", hold_time), ("calibration_time", calibration_time)):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
         self.theta = theta
-        self.hold_samples = hold_samples
-        self.calibration_samples = calibration_samples
+        self.hold_samples = math.ceil(hold_time * rate)
+        self.calibration_samples = math.ceil(calibration_time * rate)
         self._calib_sum = 0.0
         self._seen = 0
         self.f_L0: float | None = None

@@ -16,7 +16,6 @@ its internal transfer fraction is the episode's failure ground truth.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import time
@@ -251,36 +250,29 @@ class EpisodeResult:
 # ---------------------------------------------------------------------------
 # scripted human hand
 
-class _HandPath:
-    """Piecewise-linear hand profile with its per-segment velocities.
+def _hand_path(scenario: Scenario, cycles: int, T_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scripted hand's (cycles, 3) positions and velocities at t = k T_r.
 
-    The hand is at rest before the first and after the last waypoint; those
-    two states are built once.
+    The hand moves piecewise-linearly between the time-sorted hand_motion
+    waypoints and rests at the first before it and at the last after it;
+    without waypoints it rests at handover_hand_pose. Finite waypoints whose
+    differences overflow are a ValueError here, before any cycle runs.
     """
-
-    def __init__(self, scenario: Scenario):
-        if not scenario.hand_motion:
-            self.times = [0.0]
-            self.points = np.array([scenario.handover_hand_pose], dtype=float)
-        else:
-            rows = np.asarray(scenario.hand_motion, dtype=float)
-            rows = rows[np.argsort(rows[:, 0])]
-            self.times = rows[:, 0].tolist()
-            self.points = rows[:, 1:]
-        steps = np.diff(self.times)[:, None]
-        self.velocities = (self.points[1:] - self.points[:-1]) / np.where(steps > 0.0, steps, 1.0)
-        self.first = HumanState(self.points[0], np.zeros(3))
-        self.last = HumanState(self.points[-1], np.zeros(3))
-
-    def state(self, t: float) -> HumanState:
-        times = self.times
-        if len(times) == 1 or t < times[0]:
-            return self.first
-        if t >= times[-1]:
-            return self.last
-        idx = bisect.bisect_right(times, t) - 1
-        vel = self.velocities[idx]
-        return HumanState(self.points[idx] + vel * (t - times[idx]), vel)
+    rows = np.asarray(scenario.hand_motion or [(0.0, *scenario.handover_hand_pose)], dtype=float)
+    rows = rows[np.argsort(rows[:, 0])]
+    times, points = rows[:, 0], rows[:, 1:]
+    steps = np.diff(times)[:, None]
+    velocities = (points[1:] - points[:-1]) / np.where(steps > 0.0, steps, 1.0)
+    t = np.arange(cycles) * T_r
+    pos = np.where((t < times[0])[:, None], points[0], points[-1])
+    vel = np.zeros((cycles, 3))
+    moving = (t >= times[0]) & (t < times[-1])
+    seg = np.searchsorted(times, t[moving], side="right") - 1   # segment that holds t
+    vel[moving] = velocities[seg]
+    pos[moving] = points[seg] + vel[moving] * (t[moving] - times[seg])[:, None]
+    if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
+        raise ValueError("human state must be finite")
+    return pos, vel
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     # noise) while the gripper holds the object, and only its noise after
     # opening; fraction is the ground truth of the transferred load.
     trace = generate_handover_sequence(curve, duration + T_r, scenario.control_rate)
-    hand = _HandPath(scenario)
+    hand_pos, hand_vel = _hand_path(scenario, max_cycles, T_r)
 
     grasp_q = np.asarray(scenario.grasp_q, dtype=float)
     end_q = position_ik(model, scenario.handover_hand_pose, grasp_q, tol=1e-8)
@@ -413,7 +405,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
             network, period=scenario.detector_period
         )
     else:
-        monitor = ThresholdReleaseMonitor()
+        monitor = ThresholdReleaseMonitor(scenario.control_rate)
 
     q = grasp_q.copy()
     q_dot_meas = np.zeros(n)
@@ -446,7 +438,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
             break
         tic = time.perf_counter()
 
-        human = hand.state(t)
+        human = HumanState(hand_pos[k], hand_vel[k])
         raw = trace.noise[k] if gripper_open else trace.wrench[k]
 
         det_out = math.nan

@@ -50,17 +50,12 @@ def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> None:
         raise ValueError("rotation determinant is not +1")
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Cartesian pose: position in metres plus a unit rotation matrix."""
+class Pose(NamedTuple):
+    """Cartesian pose: position (3,) in metres plus a rotation matrix (3, 3); unchecked,
+    as pose_from_frames builds it from exact DH rotations and the checked tool rotation."""
 
     position: np.ndarray
     rotation: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
-        _check_rotation(self.rotation)
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,7 @@ def chain_frames(model: ManipulatorModel, q: np.ndarray) -> Frames:
 
 
 def pose_from_frames(model: ManipulatorModel, frames: Frames) -> Pose:
-    # Rotation is a product of exact DH rotations: skip re-validation.
-    pose = object.__new__(Pose)
-    object.__setattr__(pose, "position", frames.tool)
-    object.__setattr__(pose, "rotation", frames.rotation @ model.tool_transform[:3, :3])
-    return pose
+    return Pose(frames.tool, frames.rotation @ model.tool_transform[:3, :3])
 
 
 def jacobian_from_frames(model: ManipulatorModel, frames: Frames) -> np.ndarray:

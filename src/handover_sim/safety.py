@@ -66,31 +66,20 @@ class SafetyParams:
                      non_negative="C Z_d Z_r")
 
 
-@dataclass(frozen=True)
-class HumanState:
-    """Tracked hand point and its velocity in the robot base frame."""
+class HumanState(NamedTuple):
+    """Tracked hand point (3,) and its velocity (3,) in the robot base frame;
+    unchecked, as the harness checks the episode's whole hand path once."""
 
     hand_position: np.ndarray
     hand_velocity: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hand_position", np.asarray(self.hand_position, dtype=float).reshape(3))
-        object.__setattr__(self, "hand_velocity", np.asarray(self.hand_velocity, dtype=float).reshape(3))
-        if not (np.isfinite(self.hand_position).all() and np.isfinite(self.hand_velocity).all()):
-            raise ValueError("human state must be finite")
 
-
-@dataclass(frozen=True)
-class ScalingResult:
-    """Outcome of the per-cycle scaling optimization."""
+class ScalingResult(NamedTuple):
+    """Outcome of the per-cycle scaling optimization; alpha lies in [0, 1]."""
 
     alpha: float
     binding_constraint: str
     feasible: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha out of [0, 1]: {self.alpha}")
 
 
 def _ssm_vector(params: SafetyParams, separation: np.ndarray, v_h: np.ndarray, T_r: float) -> np.ndarray:
@@ -165,6 +154,9 @@ def optimal_alpha(
     the top of the intersected interval. If the interval is empty (the arm
     cannot brake hard enough within one cycle), the result saturates to the
     closest value satisfying the lower bounds and is flagged infeasible.
+
+    A NaN constraint is a ValueError: arg-min/max would pick it and no
+    comparison with it holds, so it would drop out of the interval unseen.
     """
     q_dot_adm = np.asarray(q_dot_adm, dtype=float).ravel()
     q_dot_current = np.asarray(q_dot_current, dtype=float).ravel()
@@ -178,6 +170,8 @@ def optimal_alpha(
     n = len(q_dot_adm)
     m = len(v_max)
     tags = _tag_index(m, n)
+    if np.isnan(coeff).any() or np.isnan(bound).any():
+        raise ValueError("scaling constraints must not be NaN")
 
     pos = coeff > _EPS
     neg = coeff < -_EPS

@@ -99,6 +99,7 @@ def sample_spline(segment: Segment, s: float) -> tuple[np.ndarray, np.ndarray, n
 def advance_parameter(p: PathParameter, alpha: float, T_r: float) -> PathParameter:
     """Advance s by one control cycle under the linear time law s' = s + alpha T_r.
 
-    alpha is a ScalingResult's, which checked it lies in [0, 1].
+    alpha is optimal_alpha's, in [0, 1]: it raises rather than return one
+    from NaN constraints.
     """
     return PathParameter(s=min(p.t_final, p.s + alpha * T_r), s_dot=alpha, t_final=p.t_final)

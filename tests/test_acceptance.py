@@ -181,8 +181,8 @@ def test_criterion_6_admittance_contracts(default_model):
     assert offset_err <= 0.01
 
     # linearity of the acceleration in the external wrench
-    x_des = Pose([0.1, 0.0, 0.2], np.eye(3))
-    x = Pose([0.08, 0.01, 0.21], np.eye(3))
+    x_des = Pose(np.array([0.1, 0.0, 0.2]), np.eye(3))
+    x = Pose(np.array([0.08, 0.01, 0.21]), np.eye(3))
     rng = np.random.default_rng(0)
     F1 = rng.normal(size=6)
     F2 = rng.normal(size=6)
@@ -315,7 +315,7 @@ def test_trained_detector_more_robust_than_threshold(trained_detector):
         episodes += 1
         seq = generate_handover_sequence(params, params.schedule_end + 1.2, 500.0)
         monitor = ReleaseMonitor(trained_detector.net, period=10)
-        threshold = ThresholdReleaseMonitor()
+        threshold = ThresholdReleaseMonitor(500.0)
         net_done = thr_done = False
         for k in range(len(seq)):
             if not net_done and monitor.step(seq.wrench[k]) == RELEASE:

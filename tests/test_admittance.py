@@ -28,26 +28,26 @@ def rot_z(angle):
 # pose error
 
 def test_pose_error_identical():
-    p = Pose([0.1, 0.2, 0.3], rot_z(0.4))
+    p = Pose(np.array([0.1, 0.2, 0.3]), rot_z(0.4))
     assert np.allclose(pose_error(p, p), 0.0, atol=1e-12)
 
 
 def test_pose_error_pure_translation():
-    a = Pose([0.1, 0.0, 0.0], np.eye(3))
-    b = Pose([0.0, 0.0, 0.0], np.eye(3))
+    a = Pose(np.array([0.1, 0.0, 0.0]), np.eye(3))
+    b = Pose(np.array([0.0, 0.0, 0.0]), np.eye(3))
     assert np.allclose(pose_error(a, b), [0.1, 0, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_pose_error_rotation_about_z():
-    a = Pose([0.0, 0.0, 0.0], rot_z(np.pi / 2))
-    b = Pose([0.0, 0.0, 0.0], np.eye(3))
+    a = Pose(np.array([0.0, 0.0, 0.0]), rot_z(np.pi / 2))
+    b = Pose(np.array([0.0, 0.0, 0.0]), np.eye(3))
     err = pose_error(a, b)
     assert np.allclose(err[3:], [0.0, 0.0, np.pi / 2], atol=1e-12)
 
 
 def test_pose_error_near_pi():
-    a = Pose([0.0, 0.0, 0.0], rot_z(np.pi - 1e-9))
-    err = pose_error(a, Pose([0, 0, 0], np.eye(3)))
+    a = Pose(np.array([0.0, 0.0, 0.0]), rot_z(np.pi - 1e-9))
+    err = pose_error(a, Pose(np.zeros(3), np.eye(3)))
     assert abs(np.linalg.norm(err[3:]) - (np.pi - 1e-9)) < 1e-6
 
 
@@ -56,7 +56,7 @@ def test_pose_error_near_pi():
 
 def test_perfect_tracking_passes_reference_through():
     params = AdmittanceParams()
-    x = Pose([0.3, -0.1, 0.5], rot_z(0.3))
+    x = Pose(np.array([0.3, -0.1, 0.5]), rot_z(0.3))
     xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
     xdd_des = np.array([1.0, -2.0, 0.5, 0.1, 0.0, -0.3])
     out = admittance_accel(params, x, xd, xdd_des, x, xd, np.zeros(6))
@@ -67,8 +67,8 @@ def test_scalar_case():
     # m=1, d=2 sqrt(k m)=20, k=100, position error 0.01 m, no velocity error, no force
     params = AdmittanceParams(mass=1.0, inertia=1.0, k_trans=100.0, k_rot=100.0)
     assert np.array_equal(params.d, np.full(6, 20.0))
-    x_des = Pose([0.01, 0.0, 0.0], np.eye(3))
-    x = Pose([0.0, 0.0, 0.0], np.eye(3))
+    x_des = Pose(np.array([0.01, 0.0, 0.0]), np.eye(3))
+    x = Pose(np.array([0.0, 0.0, 0.0]), np.eye(3))
     out = admittance_accel(params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6), np.zeros(6))
     assert abs(out[0] - 1.0) < 1e-12
     assert np.allclose(out[1:], 0.0, atol=1e-12)
@@ -79,7 +79,7 @@ def test_static_equilibrium_offset():
     params = AdmittanceParams(k_trans=400.0)
     force = np.array([8.0, -4.0, 2.0])
     offset = force / 400.0
-    x_des = Pose([0.0, 0.0, 0.0], np.eye(3))
+    x_des = Pose(np.array([0.0, 0.0, 0.0]), np.eye(3))
     x = Pose(-offset, np.eye(3))  # displaced away from the reference by K^-1 F
     out = admittance_accel(
         params, x_des, np.zeros(6), np.zeros(6), x, np.zeros(6),
@@ -90,8 +90,8 @@ def test_static_equilibrium_offset():
 
 def test_linearity_in_force():
     params = AdmittanceParams()
-    x_des = Pose([0.1, 0.0, 0.2], rot_z(0.2))
-    x = Pose([0.05, 0.01, 0.18], rot_z(0.15))
+    x_des = Pose(np.array([0.1, 0.0, 0.2]), rot_z(0.2))
+    x = Pose(np.array([0.05, 0.01, 0.18]), rot_z(0.15))
     xd_des = np.array([0.1, 0, 0, 0, 0, 0.02])
     xd = np.array([0.05, 0.01, 0, 0, 0, 0.0])
     xdd = np.array([0.5, 0, -0.1, 0, 0, 0])

@@ -150,7 +150,7 @@ def test_window_label_is_last_row():
     seq = generate_handover_sequence(clean_params(), 3.0, 500.0)
     ds = window_dataset([seq], window=500, stride=10)
     for idx in (0, 10, len(ds) - 1):
-        window, label = ds[idx]
+        (window,), (label,) = ds.gather([idx])
         start = ds.refs[idx][1]
         assert label == seq.labels[start + 499]
         assert window.shape == (500, 6)

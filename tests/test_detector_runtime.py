@@ -322,7 +322,7 @@ def clean_sequence(f_L0=5.0, **kwargs):
 
 def test_threshold_release_timing_on_clean_transfer():
     seq = clean_sequence()
-    mon = ThresholdReleaseMonitor(theta=0.8, hold_samples=25, calibration_samples=250)
+    mon = ThresholdReleaseMonitor(500.0, theta=0.8, hold_time=0.05, calibration_time=0.5)
     release_idx = None
     for k in range(len(seq)):
         if mon.push(seq.wrench[k]) == RELEASE:
@@ -330,13 +330,13 @@ def test_threshold_release_timing_on_clean_transfer():
             break
     assert release_idx is not None
     # |load| falls to 20% at engagement + 0.8 * transfer; sustained 50 ms
-    expected_t = 1.0 + 0.8 * 0.4 + 25 / 500.0
+    expected_t = 1.0 + 0.8 * 0.4 + 0.05
     assert abs(seq.times[release_idx] - expected_t) < 0.01
     assert abs(mon.f_L0 - 5.0) < 1e-9
 
 
 def test_threshold_never_releases_under_constant_load():
-    mon = ThresholdReleaseMonitor()
+    mon = ThresholdReleaseMonitor(500.0)
     reading = np.array([0.0, 0.0, -5.0, 0.0, 0.0, 0.0])
     for _ in range(5000):
         assert mon.push(reading) == HOLD
@@ -346,7 +346,7 @@ def test_threshold_fooled_by_cancelling_pulse():
     # a cancelling pulse holds |Fz| under the trigger level for 0.41 * width
     # (half-sine at peak == load), so 150 ms defeats the 50 ms hold window
     seq = clean_sequence(disturbance_events=((0.7, 5.0, 0.15),))
-    mon = ThresholdReleaseMonitor()
+    mon = ThresholdReleaseMonitor(500.0)
     release_idx = None
     for k in range(len(seq)):
         if mon.push(seq.wrench[k]) == RELEASE:
@@ -360,14 +360,14 @@ def test_threshold_fooled_by_cancelling_pulse():
 def test_threshold_survives_short_pulse():
     # a pulse shorter than the hold window does not trigger
     seq = clean_sequence(disturbance_events=((0.7, 5.0, 0.04),))
-    mon = ThresholdReleaseMonitor()
+    mon = ThresholdReleaseMonitor(500.0)
     for k in range(int(1.0 * 500)):
         assert mon.push(seq.wrench[k]) == HOLD
 
 
 def test_threshold_step_output_is_load_over_calibrated_weight():
     seq = clean_sequence(noise_sigma=0.05)
-    mon = ThresholdReleaseMonitor(calibration_samples=250)
+    mon = ThresholdReleaseMonitor(500.0, calibration_time=0.5)
     outputs = []
     for reading in seq.wrench[:600]:
         mon.step(reading)
@@ -380,8 +380,17 @@ def test_threshold_step_output_is_load_over_calibrated_weight():
 
 def test_threshold_calibration_validation():
     with pytest.raises(ValueError, match="calibration"):
-        ThresholdReleaseMonitor(calibration_samples=0)
-    with pytest.raises(ValueError):
-        ThresholdReleaseMonitor(theta=1.0)
-    with pytest.raises(ValueError):
-        ThresholdReleaseMonitor(hold_samples=0)
+        ThresholdReleaseMonitor(500.0, calibration_time=0.0)
+    with pytest.raises(ValueError, match="theta"):
+        ThresholdReleaseMonitor(500.0, theta=1.0)
+    with pytest.raises(ValueError, match="hold_time"):
+        ThresholdReleaseMonitor(500.0, hold_time=0.0)
+    with pytest.raises(ValueError, match="rate"):
+        ThresholdReleaseMonitor(math.nan)
+
+
+@pytest.mark.parametrize("rate, hold, calibration", [(250.0, 13, 125), (500.0, 25, 250), (1000.0, 50, 500)])
+def test_threshold_durations_become_sample_counts(rate, hold, calibration):
+    # 50 ms and 0.5 s at the reading rate, rounded up once
+    mon = ThresholdReleaseMonitor(rate)
+    assert (mon.hold_samples, mon.calibration_samples) == (hold, calibration)

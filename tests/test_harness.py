@@ -1,9 +1,12 @@
+import bisect
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from handover_sim import harness
 from handover_sim.admittance import AdmittanceParams
@@ -14,7 +17,7 @@ from handover_sim.harness import (
     PREMATURE_DROP,
     SUCCESS,
     Scenario,
-    _HandPath,
+    _hand_path,
     evaluate_batch,
     limit_respecting_duration,
     make_batch_scenarios,
@@ -28,10 +31,6 @@ from handover_sim.config import default_manipulator
 from handover_sim.kinematics import chain_frames
 from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints, pfl_limit
 from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
-
-
-def human_motion(scenario: Scenario, t: float) -> HumanState:
-    return _HandPath(scenario).state(t)
 
 
 def quick_scenario(**kwargs):
@@ -50,20 +49,44 @@ def quick_scenario(**kwargs):
 # ---------------------------------------------------------------------------
 # scripted hand
 
+def oracle_hand(scenario: Scenario):
+    """The hand's state at time t by the scalar formula the per-cycle engine
+    used: bisect over the sorted waypoint times, at rest before the first and
+    after the last."""
+    if not scenario.hand_motion:
+        times, points = [0.0], np.array([scenario.handover_hand_pose], dtype=float)
+    else:
+        rows = np.asarray(scenario.hand_motion, dtype=float)
+        rows = rows[np.argsort(rows[:, 0])]
+        times, points = rows[:, 0].tolist(), rows[:, 1:]
+    steps = np.diff(times)[:, None]
+    velocities = (points[1:] - points[:-1]) / np.where(steps > 0.0, steps, 1.0)
+
+    def state(t: float) -> tuple[np.ndarray, np.ndarray]:
+        if len(times) == 1 or t < times[0]:
+            return points[0], np.zeros(3)
+        if t >= times[-1]:
+            return points[-1], np.zeros(3)
+        idx = bisect.bisect_right(times, t) - 1
+        vel = velocities[idx]
+        return points[idx] + vel * (t - times[idx]), vel
+
+    return state
+
+
 def test_static_hand():
-    sc = Scenario(handover_hand_pose=(0.5, -0.4, 0.5))
-    state = human_motion(sc, 1.0)
-    assert np.allclose(state.hand_position, [0.5, -0.4, 0.5])
-    assert np.allclose(state.hand_velocity, 0.0)
+    pos, vel = _hand_path(Scenario(handover_hand_pose=(0.5, -0.4, 0.5)), 1000, 0.002)
+    assert np.all(pos == [0.5, -0.4, 0.5])
+    assert np.all(vel == 0.0)
 
 
 def test_waypoint_speed():
     sc = Scenario(hand_motion=((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)))
-    state = human_motion(sc, 0.5)
-    assert np.allclose(state.hand_velocity, [0.5, 0.0, 0.0])
-    assert np.allclose(state.hand_position, [0.25, 0.0, 0.0])
+    pos, vel = _hand_path(sc, 1001, 0.002)
+    assert np.allclose(vel[250], [0.5, 0.0, 0.0])   # t = 0.5 s
+    assert np.allclose(pos[250], [0.25, 0.0, 0.0])
     # at rest beyond the last waypoint
-    assert np.allclose(human_motion(sc, 2.0).hand_velocity, 0.0)
+    assert np.all(vel[1000] == 0.0)
 
 
 def test_velocity_integrates_to_displacement():
@@ -71,12 +94,54 @@ def test_velocity_integrates_to_displacement():
         hand_motion=((0.0, 0.0, 0.0, 0.0), (0.5, 0.2, -0.1, 0.3), (1.5, -0.1, 0.4, 0.1))
     )
     dt = 1e-3
-    pos = np.array(human_motion(sc, 0.0).hand_position)
-    for k in range(1500):
-        vel = human_motion(sc, k * dt).hand_velocity
-        pos = pos + vel * dt
-    expected = human_motion(sc, 1.5).hand_position
-    assert np.abs(pos - expected).max() < 1e-9
+    pos, vel = _hand_path(sc, 1501, dt)
+    assert np.abs(pos[0] + vel[:1500].sum(axis=0) * dt - pos[1500]).max() < 1e-9
+    assert np.all(pos[1500] == [-0.1, 0.4, 0.1])
+
+
+_waypoint_time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.5))
+_coordinate = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_waypoint_time, _coordinate, _coordinate, _coordinate), max_size=5),
+    rate=st.sampled_from([250.0, 500.0, 1000.0]),
+)
+@example(rows=[], rate=500.0)                                     # rests at handover_hand_pose
+@example(rows=[(1.0, 0.1, 0.2, 0.3)], rate=1000.0)                 # one waypoint
+@example(rows=[(2.0, 0.0, 0.0, 0.0), (0.5, 1.0, 0.0, 0.0), (1.25, 0.0, 1.0, 0.0)], rate=250.0)  # unsorted
+@example(rows=[(0.5, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (1.5, 0.0, 0.0, 1.0)],
+         rate=500.0)                                              # equal times
+def test_hand_path_matches_scalar_oracle(rows, rate):
+    # single, unsorted and equal-time waypoints; cycles before the first and
+    # after the last: every cycle's state equals the oracle's, bit for bit
+    sc = Scenario(hand_motion=tuple(rows))
+    cycles = int(3.0 * rate)
+    T_r = 1.0 / rate
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        state = oracle_hand(sc)
+        expected = [state(k * T_r) for k in range(cycles)]
+        pos = np.array([p for p, _ in expected])
+        vel = np.array([v for _, v in expected])
+        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
+            # waypoints a subnormal time apart: the hand's speed overflows
+            with pytest.raises(ValueError, match="human state must be finite"):
+                _hand_path(sc, cycles, T_r)
+            return
+        got_pos, got_vel = _hand_path(sc, cycles, T_r)
+    assert got_pos.tobytes() == pos.tobytes()
+    assert got_vel.tobytes() == vel.tobytes()
+
+
+def test_overflowing_hand_path_rejected_before_first_cycle(monkeypatch):
+    # finite waypoints whose difference overflows: the hand's speed is inf
+    calls = []
+    monkeypatch.setattr(harness, "HumanState", lambda *a: calls.append(a) or HumanState(*a))
+    sc = quick_scenario(hand_motion=((0.0, -1e308, 0.0, 0.5), (1.0, 1e308, 0.0, 0.5)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="human state must be finite"):
+        run_handover(sc)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +310,17 @@ def test_threshold_episode_success_and_outcome_fields():
         assert m.deadline_misses >= m.cycles // 100
 
 
+def test_threshold_baseline_succeeds_at_every_rate():
+    # the hold and the calibration are durations: a fixed 25-sample hold was
+    # 25 ms at 1 kHz and released before 90% of the load had passed
+    releases = []
+    for rate in (250.0, 500.0, 1000.0):
+        m = run_handover(Scenario(release="threshold", control_rate=rate)).metrics
+        assert m.outcome == SUCCESS, (rate, m.outcome, m.release_fraction)
+        releases.append(m.release_time)
+    assert max(releases) - min(releases) < 0.01, releases
+
+
 def test_failed_release_outcome():
     # theta so strict the threshold can never fire
     sc = quick_scenario(load_curve={"noise_sigma": 0.3})
@@ -385,7 +461,8 @@ def test_reaction_time_follows_control_rate():
     res = run_handover(sc)
     model = default_manipulator(payload_mass=sc.object_mass)
     q0 = np.asarray(sc.grasp_q)
-    human = human_motion(sc, 0.0)
+    hand_pos, hand_vel = _hand_path(sc, 1, 1.0 / sc.control_rate)
+    human = HumanState(hand_pos[0], hand_vel[0])
 
     def first_ssm(T_r):
         frames = chain_frames(model, q0)

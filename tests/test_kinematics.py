@@ -11,7 +11,6 @@ from handover_sim.admittance import rotation_log
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import (
     ManipulatorModel,
-    Pose,
     chain_frames,
     cross_rows,
     damped_pinv,
@@ -250,11 +249,6 @@ def test_model_rejects_bad_tool_rotation():
             q_dot_max=[1], q_ddot_max=[1],
             link_masses=[1.0], tool_transform=tool,
         )
-
-
-def test_pose_validation():
-    with pytest.raises(ValueError):
-        Pose(np.zeros(3), 2.0 * np.eye(3))
 
 
 # ---------------------------------------------------------------------------

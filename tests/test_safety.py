@@ -10,7 +10,6 @@ from handover_sim.kinematics import chain_frames, cross_rows, jacobian_from_fram
 from handover_sim.safety import (
     HumanState,
     SafetyParams,
-    ScalingResult,
     apparent_mass,
     link_constraints,
     optimal_alpha,
@@ -432,9 +431,16 @@ def test_alpha_less_conservative_than_single_paradigm():
         assert combined >= pfl_alpha - 1e-12
 
 
-def test_scaling_result_validation():
-    with pytest.raises(ValueError):
-        ScalingResult(alpha=1.2, binding_constraint="box", feasible=True)
+@pytest.mark.parametrize("q_dot_adm", [np.ones(6), -np.ones(6)])
+def test_optimal_alpha_rejects_nan_constraints(q_dot_adm):
+    # a NaN limit is picked by arg-min/max but loses every comparison, so
+    # unchecked it dropped out and left alpha at 1 or the acceleration bound
+    v_max = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
+    args = (np.zeros(6), np.eye(6), v_max, np.full(6, 2.0), np.full(6, 10.0), 0.002)
+    with pytest.raises(ValueError, match="NaN"):
+        optimal_alpha(q_dot_adm, *args)
+    with pytest.raises(ValueError, match="NaN"):
+        optimal_alpha(np.where(np.arange(6) == 2, np.nan, q_dot_adm), *args[:2], np.ones(6), *args[3:])
 
 
 # ---------------------------------------------------------------------------
