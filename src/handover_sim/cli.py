@@ -195,8 +195,8 @@ def cmd_simulate(args) -> int:
         if not args.weights:
             raise UsageError("release='network' requires --weights")
         network, _ = load_weights(args.weights)
-    out = _out_dir(args)
     result = run_handover(scenario, network=network)
+    out = _out_dir(args)  # only after the episode ran, so a failed run leaves no directory
     write_episode_csv(result, out / "episode.csv")
     m = result.metrics
     _write_manifest(
@@ -235,8 +235,8 @@ def cmd_compare(args) -> int:
         if not args.weights:
             raise UsageError("the proposed arm requires --weights")
         network, _ = load_weights(args.weights)
-    out = _out_dir(args)
     batch = evaluate_batch(scenarios, arms=arms, network=network)
+    out = _out_dir(args)  # only after the episodes ran, so a failed run leaves no directory
     write_batch_csvs(batch, out / "episodes.csv", out / "summary.csv")
     _write_manifest(
         out / "compare_manifest.json",

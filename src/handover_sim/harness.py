@@ -6,8 +6,8 @@ closed-form polynomial at it, map to Cartesian references, compute the
 compliant (or baseline PD) joint-velocity command, scale it through the
 safety optimization, and integrate the velocity-controlled plant. A
 scripted hand, a schedule-driven wrist sensor, and a release monitor close
-the loop; opening the gripper triggers a retreat plan back to the grasp
-configuration.
+the loop; opening the gripper starts one retreat plan back to the grasp
+configuration, from the arm's current rate so that the reference stays C1.
 
 The plant is the ideal velocity integrator (commands are realized exactly at
 the control rate); the sensor trace is generated, not contact-simulated, and
@@ -38,7 +38,8 @@ from .kinematics import (
     pose_from_frames,
 )
 from .safety import HumanState, SafetyParams, apparent_mass, link_constraints, optimal_alpha, pfl_limit
-from .trajectory import POLY_ROWS, PathParameter, advance_parameter, fit_cubic_spline, plan_quintic, sample_spline
+from .trajectory import PathParameter, advance_parameter, braking_duration, fit_cubic_spline
+from .trajectory import limit_respecting_duration, plan_quintic, sample_spline
 
 __all__ = [
     "Scenario",
@@ -175,6 +176,8 @@ class Scenario:
         object.__setattr__(self, "hand_motion", tuple(
             _finite("hand_motion row (t, x, y, z)", w, 4) for w in self.hand_motion
         ))
+        if self.hand_motion and not np.isfinite(_hand_segments(self.hand_motion)[2]).all():
+            raise ValueError("hand_motion waypoints must give a finite speed on every segment")
         object.__setattr__(self, "disturbances", tuple(
             _finite("disturbances row (start, peak, width)", d, 3) for d in self.disturbances
         ))
@@ -250,19 +253,25 @@ class EpisodeResult:
 # ---------------------------------------------------------------------------
 # scripted human hand
 
+def _hand_segments(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, y, z) waypoint rows as sorted times, their points and each segment's velocity."""
+    rows = np.asarray(rows, dtype=float)
+    rows = rows[np.argsort(rows[:, 0])]
+    steps = np.diff(rows[:, 0])[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite speed is the caller's error
+        velocities = (rows[1:, 1:] - rows[:-1, 1:]) / np.where(steps > 0.0, steps, 1.0)
+    return rows[:, 0], rows[:, 1:], velocities
+
+
 def _hand_path(scenario: Scenario, cycles: int, T_r: float) -> tuple[np.ndarray, np.ndarray]:
     """The scripted hand's (cycles, 3) positions and velocities at t = k T_r.
 
     The hand moves piecewise-linearly between the time-sorted hand_motion
     waypoints and rests at the first before it and at the last after it;
-    without waypoints it rests at handover_hand_pose. Finite waypoints whose
-    differences overflow are a ValueError here, before any cycle runs.
+    without waypoints it rests at handover_hand_pose. A non-finite state (the
+    scenario already refuses non-finite segment speeds) is a ValueError here.
     """
-    rows = np.asarray(scenario.hand_motion or [(0.0, *scenario.handover_hand_pose)], dtype=float)
-    rows = rows[np.argsort(rows[:, 0])]
-    times, points = rows[:, 0], rows[:, 1:]
-    steps = np.diff(times)[:, None]
-    velocities = (points[1:] - points[:-1]) / np.where(steps > 0.0, steps, 1.0)
+    times, points, velocities = _hand_segments(scenario.hand_motion or [(0.0, *scenario.handover_hand_pose)])
     t = np.arange(cycles) * T_r
     pos = np.where((t < times[0])[:, None], points[0], points[-1])
     vel = np.zeros((cycles, 3))
@@ -291,42 +300,6 @@ def pd_controller(
     The gains are checked where the scenario builds them (kp > 0, kd >= 0).
     """
     return q_dot_des + kp * (q_des - q) + kd * (q_dot_des - q_dot)
-
-
-_QUINTIC_PEAK_VEL = 1.875       # max of the normalized quintic rate
-_QUINTIC_PEAK_ACC = 5.7735      # max of the normalized quintic acceleration
-
-
-def limit_respecting_duration(model: ManipulatorModel, delta_q: np.ndarray, requested: float) -> float:
-    """Stretch a quintic plan duration until it fits the joint-rate limits.
-
-    A plan whose nominal profile grazes the velocity or acceleration boxes
-    forces the safety layer into infeasible braking as soon as the tracking
-    controller adds its correction on top, so the nominal profile is kept
-    10% inside the velocity box and a factor 2 inside the acceleration box.
-    """
-    delta = np.abs(np.asarray(delta_q, dtype=float))
-    t_vel = _QUINTIC_PEAK_VEL * float(np.max(delta / model.q_dot_max))
-    t_acc = math.sqrt(2.0 * _QUINTIC_PEAK_ACC * float(np.max(delta / model.q_ddot_max)))
-    return max(requested, 1.1 * t_vel, t_acc)
-
-
-def _plan_stop(q: np.ndarray, q_dot: np.ndarray, model: ManipulatorModel, rate: float) -> tuple[np.ndarray, float]:
-    """Constant-deceleration ramp to rest: its position polynomial and duration T.
-
-    q(s) = q + q_dot s - q_dot s^2 / (2 T), zero-padded to the plan degree,
-    so it is followed like any other segment. Keeps the retreat replan C1:
-    without it, opening the gripper mid-motion would snap the reference
-    velocity to zero in one cycle.
-    """
-    speed = np.abs(q_dot)
-    T = float(np.max(speed / (0.5 * model.q_ddot_max)))
-    T = max(T, 4.0 / rate)
-    poly = np.zeros((POLY_ROWS, len(q)))
-    poly[0] = q
-    poly[1] = q_dot
-    poly[2] = -0.5 * (q_dot / T)
-    return poly, T
 
 
 def position_ik(
@@ -411,7 +384,6 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     q_dot_meas = np.zeros(n)
     alpha = 1.0
     gripper_open = False
-    pending_retreat = False
     release_time = math.nan
     release_fraction = math.nan
     deadline = curve.schedule_end + scenario.release_timeout
@@ -449,24 +421,16 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
                 gripper_open = True
                 release_time = t
                 release_fraction = float(trace.fraction[k])
-                stop_T = 0.0
-                retreat_T = 0.0
+                stop_T = retreat_T = 0.0
                 if scenario.retreat_duration > 0.0:
                     retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-                    pending_retreat = float(np.max(np.abs(q_dot_meas))) > 0.05
-                    if pending_retreat:
-                        # brake to rest first so the retreat reference starts C1
-                        stop, stop_T = _plan_stop(q, q_dot_meas, model, scenario.control_rate)
-                        segment, path = follow(stop, stop_T)
-                    else:
-                        segment, path = follow(*plan_quintic(q, grasp_q, retreat_T))
+                    start_rate = q_dot_meas if float(np.max(np.abs(q_dot_meas))) > 0.05 else None
+                    if start_rate is not None:  # leave at the arm's rate and brake in the plan: C1 from the start
+                        stop_T = braking_duration(model, start_rate, scenario.control_rate)
+                    segment, path = follow(*plan_quintic(q, grasp_q, stop_T + retreat_T, start_rate))
                 end_time = min(end_time, t + stop_T + retreat_T + scenario.episode_tail)
             elif t > deadline:
                 end_time = t  # receiver gave up waiting; episode is a failed release
-        if pending_retreat and path.s >= segment.duration - 1e-9:
-            retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-            segment, path = follow(*plan_quintic(q, grasp_q, retreat_T))
-            pending_retreat = False
         # advance the timing law with the previous cycle's scaling factor
         path = advance_parameter(path, alpha, T_r)
         ref_moved = path.s != ref_s or segment is not ref_segment

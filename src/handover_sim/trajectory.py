@@ -1,29 +1,36 @@
 """Joint-space planning and the path-velocity decomposition.
 
-Every plan is a closed-form per-joint polynomial of degree at most 5 in a
-scalar path parameter s (time-valued abscissa) on [0, T]. Differentiating it
-once gives a coefficient block for (q, q_dot, q_ddot) that a single product
-with the powers of s evaluates, so the timing law can scale s online without
-changing the geometric path, and the reference is exact at every s.
+Every plan is one closed-form per-joint quintic in a path parameter s
+(time-valued abscissa) on [0, T], from rest or the arm's rate to rest, and
+lasts long enough for the joint limits. Differentiated once, it is a
+coefficient block for (q, q_dot, q_ddot) that one product with the powers of s
+evaluates exactly, so the timing law can scale s online without changing the path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kinematics import ManipulatorModel
 
 __all__ = [
     "Segment",
     "PathParameter",
     "POLY_ROWS",
     "plan_quintic",
+    "limit_respecting_duration",
+    "braking_duration",
     "fit_cubic_spline",
     "sample_spline",
     "advance_parameter",
 ]
 
 POLY_ROWS = 6                   # coefficients of a degree-5 polynomial, s**0 first
+_QUINTIC_PEAK_VEL = 1.875       # max of the normalized rest-to-rest quintic rate
+_QUINTIC_PEAK_ACC = 5.7735      # max of the normalized rest-to-rest quintic acceleration
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +54,14 @@ class PathParameter:
     t_final: float
 
 
-def plan_quintic(start_q: np.ndarray, end_q: np.ndarray, duration: float) -> tuple[np.ndarray, float]:
+def plan_quintic(start_q: np.ndarray, end_q: np.ndarray, duration: float,
+                 start_rate: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Per-joint quintic from start_q to end_q: its (POLY_ROWS, n) position polynomial and duration.
 
     q(s) = start_q + delta * sigma(s / T) with the normalized profile
     sigma(tau) = 10 tau^3 - 15 tau^4 + 6 tau^5, so velocity and acceleration
-    vanish at both endpoints.
+    vanish at both endpoints. A start_rate v adds v (s - 6 s^3/T^2 + 8 s^4/T^3
+    - 3 s^5/T^4), which starts at rate v and vanishes with its rates at T.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -66,7 +75,33 @@ def plan_quintic(start_q: np.ndarray, end_q: np.ndarray, duration: float) -> tup
     poly[3] = 10.0 * delta / duration**3
     poly[4] = -15.0 * delta / duration**4
     poly[5] = 6.0 * delta / duration**5
+    if start_rate is not None:
+        v = np.asarray(start_rate, dtype=float).ravel()
+        if v.shape != start_q.shape:
+            raise ValueError("start_rate and start_q must have equal length")
+        poly[1] = v
+        poly[3] += -6.0 * v / duration**2
+        poly[4] += 8.0 * v / duration**3
+        poly[5] += -3.0 * v / duration**4
     return poly, float(duration)
+
+
+def limit_respecting_duration(model: ManipulatorModel, delta_q: np.ndarray, requested: float) -> float:
+    """Stretch a rest-to-rest quintic's duration until it fits the joint-rate limits.
+
+    A profile that grazes the velocity or acceleration box forces infeasible
+    braking once the tracking controller adds its correction, so it is kept
+    10% inside the velocity box and a factor 2 inside the acceleration box.
+    """
+    delta = np.abs(np.asarray(delta_q, dtype=float))
+    t_vel = _QUINTIC_PEAK_VEL * float(np.max(delta / model.q_dot_max))
+    t_acc = math.sqrt(2.0 * _QUINTIC_PEAK_ACC * float(np.max(delta / model.q_ddot_max)))
+    return max(requested, 1.1 * t_vel, t_acc)
+
+
+def braking_duration(model: ManipulatorModel, q_dot: np.ndarray, rate: float) -> float:
+    """Time to brake from q_dot at half the acceleration box, at least four cycles at rate."""
+    return max(float(np.max(np.abs(q_dot) / (0.5 * model.q_ddot_max))), 4.0 / rate)
 
 
 def fit_cubic_spline(poly: np.ndarray, duration: float) -> Segment:

@@ -172,6 +172,10 @@ def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command,
     ("handover_hand_pose=[NaN,0,0.5]", "handover_hand_pose"),
     ("hand_motion=[[0,1,2]]", "hand_motion"),
     ("hand_motion=[[0,0.7,-0.4,0.5],[1,0.65,NaN,0.55]]", "hand_motion"),
+    # finite waypoints whose segment speed is not: the difference overflows,
+    # or the time step is subnormal
+    ("hand_motion=[[0,-1e308,0,0],[1,1e308,0,0]]", "hand_motion"),
+    ("hand_motion=[[0,0.7,-0.4,0.5],[2.2e-313,0.65,-0.45,0.55]]", "hand_motion"),
     ("disturbances=[[1.0,2.0]]", "disturbances"),
     ("disturbances=[[1.0,NaN,0.1]]", "disturbances"),
     ("disturbances=[[1.0,2.0,0]]", "width"),
@@ -202,6 +206,18 @@ def test_invalid_top_level_scenario_value_is_usage_error(tmp_path, capsys, comma
     code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"), *flags])
     assert code == EXIT_USAGE
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_unreachable_hand_pose_leaves_no_output_directory(tmp_path, capsys, command):
+    # IK does not converge inside the episode: a runtime error, after which
+    # --out must not exist
+    scenario = write_scenario(tmp_path / "scenario.json", handover_hand_pose=[5.0, 5.0, 5.0])
+    flags = ["--controller", "pd"] if command == "simulate" else ["--episodes", "1", "--arms", "baseline-only"]
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"), *flags])
+    assert code == EXIT_RUNTIME
+    assert "unreachable" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

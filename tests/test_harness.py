@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from handover_sim.admittance import AdmittanceParams
 from handover_sim.detector.curves import LoadCurveParams, generate_handover_sequence
 from handover_sim.detector.training import TrainingConfig
 from handover_sim.harness import (
+    ARMS,
     FAILED_RELEASE,
     PREMATURE_DROP,
     SUCCESS,
     Scenario,
     _hand_path,
     evaluate_batch,
-    limit_respecting_duration,
     make_batch_scenarios,
     pd_controller,
     position_ik,
@@ -30,7 +31,7 @@ from handover_sim.harness import (
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import chain_frames
 from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints, pfl_limit
-from handover_sim.trajectory import fit_cubic_spline, plan_quintic, sample_spline
+from handover_sim.trajectory import fit_cubic_spline, limit_respecting_duration, plan_quintic, sample_spline
 
 
 def quick_scenario(**kwargs):
@@ -115,8 +116,20 @@ _coordinate = st.floats(-1.0, 1.0)
          rate=500.0)                                              # equal times
 def test_hand_path_matches_scalar_oracle(rows, rate):
     # single, unsorted and equal-time waypoints; cycles before the first and
-    # after the last: every cycle's state equals the oracle's, bit for bit
-    sc = Scenario(hand_motion=tuple(rows))
+    # after the last: every cycle's state equals the oracle's, bit for bit.
+    # The scenario refuses exactly the waypoints with a non-finite segment
+    # speed (a subnormal time step); _hand_path still checks what it builds.
+    rows = tuple(rows)
+    ordered = np.array(rows, dtype=float).reshape(-1, 4)
+    ordered = ordered[np.argsort(ordered[:, 0])]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        speeds = [(b[1:] - a[1:]) / (b[0] - a[0]) for a, b in zip(ordered, ordered[1:]) if b[0] > a[0]]
+    if np.isfinite(speeds).all():
+        sc = Scenario(hand_motion=rows)
+    else:
+        with pytest.raises(ValueError, match="hand_motion"):
+            Scenario(hand_motion=rows)
+        sc = SimpleNamespace(hand_motion=rows, handover_hand_pose=Scenario().handover_hand_pose)
     cycles = int(3.0 * rate)
     T_r = 1.0 / rate
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -134,14 +147,15 @@ def test_hand_path_matches_scalar_oracle(rows, rate):
     assert got_vel.tobytes() == vel.tobytes()
 
 
-def test_overflowing_hand_path_rejected_before_first_cycle(monkeypatch):
-    # finite waypoints whose difference overflows: the hand's speed is inf
-    calls = []
-    monkeypatch.setattr(harness, "HumanState", lambda *a: calls.append(a) or HumanState(*a))
-    sc = quick_scenario(hand_motion=((0.0, -1e308, 0.0, 0.5), (1.0, 1e308, 0.0, 0.5)))
+def test_overflowing_hand_path_rejected_before_first_cycle():
+    # finite waypoints whose difference overflows: the hand's speed is inf.
+    # The scenario refuses them; _hand_path refuses them too if they get past it
+    rows = ((0.0, -1e308, 0.0, 0.5), (1.0, 1e308, 0.0, 0.5))
+    with pytest.raises(ValueError, match="hand_motion waypoints must give a finite speed"):
+        quick_scenario(hand_motion=rows)
+    unchecked = SimpleNamespace(hand_motion=rows, handover_hand_pose=None)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="human state must be finite"):
-        run_handover(sc)
-    assert calls == []
+        _hand_path(unchecked, 1000, 0.002)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +379,37 @@ def test_compliance_corridor():
         worst = max(worst, float(np.linalg.norm(data[k, x_cols] - x_des)))
     bound = (sc.object_mass * 9.81 + 3.0) / 400.0  # payload + pull, K_trans
     assert worst < 1.5 * bound + 0.01
+
+
+def test_release_while_moving_plans_one_retreat_from_the_arm_state(monkeypatch):
+    # criterion-8 scenario 0 on the baseline arm opens the gripper while the
+    # arm moves: one plan leaves the release state at the arm's rate and
+    # rests at the grasp configuration; no second plan follows
+    from test_acceptance import acceptance_scenario
+
+    controller, release = ARMS["baseline"]
+    sc = make_batch_scenarios(acceptance_scenario(), 60, seed=77, disturbed=True)[0]
+    sc = dataclasses.replace(sc, controller=controller, release=release)
+    plans = []
+
+    def spy(*args):
+        plans.append((args, plan_quintic(*args)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(harness, "plan_quintic", spy)
+    res = run_handover(sc)
+    k = int(round(res.metrics.release_time * sc.control_rate))
+    cols, row = res.log.columns, res.log.data[k]
+    q, q_dot = row[cols.index("q0"):cols.index("q5") + 1], row[cols.index("qd0"):cols.index("qd5") + 1]
+    assert np.abs(q_dot).max() > 0.05
+    assert len(plans) == 2  # the approach, then one retreat
+    (start_q, end_q, _, start_rate), (poly, T) = plans[1]
+    assert start_q.tobytes() == q.tobytes() and start_rate.tobytes() == q_dot.tobytes()
+    seg = fit_cubic_spline(poly, T)
+    for got, want in zip((*sample_spline(seg, 0.0), *sample_spline(seg, T)), (q, q_dot, 0.0, sc.grasp_q, 0.0, 0.0)):
+        assert np.abs(got - want).max() < 1e-9
+    # pinned: the episode ends braking time + retreat time + tail after the release
+    assert (k, res.metrics.cycles) == (622, 1219)
 
 
 def test_episode_determinism_bitwise(tmp_path):

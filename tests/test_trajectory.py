@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover_sim.config import default_manipulator
-from handover_sim.harness import _plan_stop
 from handover_sim.kinematics import chain_frames, jacobian_dot_from_frames, jacobian_from_frames, pose_from_frames
 from handover_sim.trajectory import (
     POLY_ROWS,
@@ -46,8 +44,19 @@ def quintic_oracle(q0, q1, T, t):
 # ---------------------------------------------------------------------------
 # quintic planning
 
-def segment(q0, q1, T):
-    return fit_cubic_spline(*plan_quintic(q0, q1, T))
+def segment(q0, q1, T, start_rate=None):
+    return fit_cubic_spline(*plan_quintic(q0, q1, T, start_rate))
+
+
+def rest_to_rest_oracle(q0, q1, T):
+    """The rest-to-rest coefficients by the formula plan_quintic had before it took a start rate."""
+    delta = q1 - q0
+    poly = np.zeros((POLY_ROWS, len(q0)))
+    poly[0] = q0
+    poly[3] = 10.0 * delta / T**3
+    poly[4] = -15.0 * delta / T**4
+    poly[5] = 6.0 * delta / T**5
+    return poly
 
 
 def test_plan_degenerate_constant():
@@ -90,6 +99,8 @@ def test_plan_rejects_bad_inputs():
         plan_quintic([0.0], [1.0], -5.0)
     with pytest.raises(ValueError):
         plan_quintic([0.0, 0.0], [1.0], 1.0)
+    with pytest.raises(ValueError):
+        plan_quintic([0.0, 0.0], [1.0, 1.0], 1.0, start_rate=[0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +173,19 @@ def test_quintic_peak_speed(plan):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), st.lists(_joint, min_size=6, max_size=6))
-def test_stop_ramp_reaches_rest(q_dot, q):
-    # the stop ramp leaves q with rate q_dot and is at rest at T, braking at
-    # no more than half the acceleration box
-    model = default_manipulator()
-    q, q_dot = np.array(q), np.array(q_dot)
-    poly, T = _plan_stop(q, q_dot, model, 500.0)
-    seg = fit_cubic_spline(poly, T)
-    start, end = sample_spline(seg, 0.0), sample_spline(seg, T)
-    assert np.abs(start[0] - q).max() < 1e-12
-    assert np.abs(start[1] - q_dot).max() < 1e-12
-    assert np.abs(end[1]).max() < 1e-9
-    assert np.abs(end[0] - (q + 0.5 * q_dot * T)).max() < 1e-9
-    assert np.all(np.abs(start[2]) <= 0.5 * model.q_ddot_max + 1e-9)
-    assert T >= 4.0 / 500.0
+@given(_plans, st.data())
+def test_start_rate_quintic_meets_its_boundary_conditions(plan, data):
+    # q(0) = q0, q'(0) = v, q''(0) = 0 and rest at q1 at T; without a start
+    # rate the coefficients are the rest-to-rest ones, bit for bit
+    q0, q1, T = plan
+    v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(q0), max_size=len(q0))))
+    seg = segment(q0, q1, T, v)
+    got = (*sample_spline(seg, 0.0), *sample_spline(seg, T))
+    for value, want in zip(got, (q0, v, 0.0, q1, 0.0, 0.0)):
+        assert np.abs(value - want).max() < 1e-9
+    poly, duration = plan_quintic(q0, q1, T)
+    assert poly.tobytes() == rest_to_rest_oracle(q0, q1, T).tobytes()
+    assert duration == T
 
 
 def test_fit_reproduces_low_degree_polynomials():
