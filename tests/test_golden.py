@@ -45,13 +45,15 @@ from test_detector_training import tiny_dataset
 WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz"
 WEIGHTS_SHA256 = "b91b88b017eb3858984a59ad7cb4f5b44fb88f674691473f76680c2571b31ac9"
 
-CRITERION_9_EPISODE = "a13e9b04d747fa3c1f6a8f45bbdab632752d260adfaae40d5482a37286b82f0f"
+CRITERION_9_EPISODE = "14266c66238af4e445f27bff297a03e24dc34742f6b791c6bc7fd3ba6df04125"
 
-# (criterion-8 scenario index, arm) -> episode.csv digest, with its outcome
+# (criterion-8 scenario index, arm) -> episode.csv digest, with its outcome;
+# "moving" marks an episode whose arm moves faster than 0.05 rad/s when the
+# gripper opens, so its retreat plan starts at the arm's rate
 CRITERION_8_EPISODES = {
     (0, "proposed"): "6fca48f83b4d8c5416780973b0176c6cf34757ff0a6d0bd0632a92e512bef7da",  # success
-    (0, "baseline"): "0b9f706783c6ed89641cb41a281f61265b38451d7ce939956a16c93f014f941f",  # premature_drop
-    (5, "proposed"): "f16522fdc765800e18e2ec388099d2d89c4d9c4d597f6054e555a8f0ec584082",  # success
+    (0, "baseline"): "ee28dd7fa00e0fb680c0207024ba9bc2866ab56e01535d1ef74f32aced3a8f09",  # premature_drop, moving
+    (5, "proposed"): "b9cead5a74a0325b60164e0aa11c92525de014c5bcace8d59ef48b1c99a16eff",  # success, moving
     (5, "baseline"): "a9580cf9313719127ca83f66d5d20e4af177e12e8340d972121fc4f464920d4e",  # success
     (55, "proposed"): "aad7adadd74e3eea1fbdd7c891fca14f59f8f47aa540aecf8820a13935e118d8",  # premature_drop
     (55, "baseline"): "d90eb53b39869725b3b09f85fd27bc57bd4be0f9918eee269609a810735071e3",  # success
@@ -68,7 +70,7 @@ CRITERION_8_DET_OUT = {
 }
 
 # evaluate_batch over criterion-8 scenarios 0 and 1, both arms
-BATCH_EPISODES = "fb0a182bad72c84a5aa3a4b01f71350b6699aeb2f041d4a40f29df7be2c443a8"
+BATCH_EPISODES = "944fe26dafadc878a50cd193af08109105c15f6b204768e5bc8f3239eb2af4c5"
 BATCH_SUMMARY = "e9852931cac2d8bea711727cdf4448c543a1480ec3c46c739d8cb4af1e8dd172"
 
 # train() on the two-trace tiny corpus (262 windows, batch 48: five full
