@@ -139,7 +139,6 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"invalid training flag: {exc}") from exc
-    out = _out_dir(args)
     dataset_dir = Path(args.dataset)
     files = sorted(dataset_dir.glob("seq_*.csv"))
     if not files:
@@ -156,6 +155,7 @@ def cmd_train(args) -> int:
     start = time.perf_counter()
     params, history = train(params, train_set, None, cfg)
     elapsed = time.perf_counter() - start
+    out = _out_dir(args)  # only after training ran, so a failed run leaves no directory
 
     final_loss = history[-1]["train_loss"]
     best_loss = min(h["train_loss"] for h in history)

@@ -2,9 +2,9 @@
 
 Every plan is one closed-form per-joint quintic in a path parameter s
 (time-valued abscissa) on [0, T], from rest or the arm's rate to rest, and
-lasts long enough for the joint limits. Differentiated once, it is a
-coefficient block for (q, q_dot, q_ddot) that one product with the powers of s
-evaluates exactly, so the timing law can scale s online without changing the path.
+lasts long enough for the joint limits. Differentiated once, it is one
+(q, q_dot, q_ddot) coefficient block that a product with the powers of s
+evaluates exactly, so the timing law can scale s without changing the path.
 """
 
 from __future__ import annotations

@@ -318,7 +318,8 @@ def test_train_flag_defaults_come_from_their_one_home():
 
 def test_train_missing_dataset(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "void"),
-                 "--out", str(tmp_path)]) == EXIT_RUNTIME
+                 "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,13 @@ from handover_sim.harness import (
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import chain_frames
 from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints, pfl_limit
-from handover_sim.trajectory import fit_cubic_spline, limit_respecting_duration, plan_quintic, sample_spline
+from handover_sim.trajectory import (
+    braking_duration,
+    fit_cubic_spline,
+    limit_respecting_duration,
+    plan_quintic,
+    sample_spline,
+)
 
 
 def quick_scenario(**kwargs):
@@ -262,6 +268,16 @@ def test_limit_respecting_duration(default_model):
     assert limit_respecting_duration(default_model, delta * 0.01, 5.0) == 5.0
 
 
+def test_braking_duration(default_model):
+    # the fastest joint brakes at half its acceleration box, and never in
+    # fewer than four cycles
+    q_dot = np.array([0.5, -0.2, 3.0, 0.0, -1.0, 0.1])
+    ratios = np.abs(q_dot) / (0.5 * default_model.q_ddot_max)
+    assert braking_duration(default_model, q_dot, 500.0) == ratios.max() > 4.0 / 500.0
+    assert braking_duration(default_model, q_dot * 1e-3, 500.0) == 4.0 / 500.0
+    assert braking_duration(default_model, q_dot * 1e-3, 250.0) == 4.0 / 250.0
+
+
 # ---------------------------------------------------------------------------
 # full episodes
 
@@ -403,7 +419,7 @@ def test_release_while_moving_plans_one_retreat_from_the_arm_state(monkeypatch):
     q, q_dot = row[cols.index("q0"):cols.index("q5") + 1], row[cols.index("qd0"):cols.index("qd5") + 1]
     assert np.abs(q_dot).max() > 0.05
     assert len(plans) == 2  # the approach, then one retreat
-    (start_q, end_q, _, start_rate), (poly, T) = plans[1]
+    (start_q, _, _, start_rate), (poly, T) = plans[1]
     assert start_q.tobytes() == q.tobytes() and start_rate.tobytes() == q_dot.tobytes()
     seg = fit_cubic_spline(poly, T)
     for got, want in zip((*sample_spline(seg, 0.0), *sample_spline(seg, T)), (q, q_dot, 0.0, sc.grasp_q, 0.0, 0.0)):
