@@ -152,10 +152,10 @@ def cmd_train(args) -> int:
         params, _ = load_weights(args.resume)
     else:
         params = init_network(hidden=args.hidden, seed=cfg.seed)
+    out = _out_dir(args)  # after the inputs load, but before training, so a bad --out fails at once
     start = time.perf_counter()
     params, history = train(params, train_set, None, cfg)
     elapsed = time.perf_counter() - start
-    out = _out_dir(args)  # only after training ran, so a failed run leaves no directory
 
     final_loss = history[-1]["train_loss"]
     best_loss = min(h["train_loss"] for h in history)

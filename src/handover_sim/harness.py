@@ -254,12 +254,12 @@ class EpisodeResult:
 # scripted human hand
 
 def _hand_segments(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x, y, z) waypoint rows as sorted times, their points and each segment's velocity."""
+    """(t, x, y, z) rows as sorted times, their points and each segment's velocity (0 where it has no length)."""
     rows = np.asarray(rows, dtype=float)
     rows = rows[np.argsort(rows[:, 0])]
     steps = np.diff(rows[:, 0])[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite speed is the caller's error
-        velocities = (rows[1:, 1:] - rows[:-1, 1:]) / np.where(steps > 0.0, steps, 1.0)
+        velocities = np.where(steps > 0.0, (rows[1:, 1:] - rows[:-1, 1:]) / np.where(steps > 0.0, steps, 1.0), 0.0)
     return rows[:, 0], rows[:, 1:], velocities
 
 

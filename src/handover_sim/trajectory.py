@@ -1,10 +1,9 @@
 """Joint-space planning and the path-velocity decomposition.
 
-Every plan is one closed-form per-joint quintic in a path parameter s
-(time-valued abscissa) on [0, T], from rest or the arm's rate to rest, and
-lasts long enough for the joint limits. Differentiated once, it is one
-(q, q_dot, q_ddot) coefficient block that a product with the powers of s
-evaluates exactly, so the timing law can scale s without changing the path.
+Every plan is one closed-form per-joint quintic in a path parameter s (time-valued abscissa) on
+[0, T], from rest or the arm's rate to rest. Differentiated once, it is one (q, q_dot, q_ddot)
+coefficient block that a product with the powers of s evaluates exactly, so the timing law can
+scale s without changing the path.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ def plan_quintic(start_q: np.ndarray, end_q: np.ndarray, duration: float,
 
     q(s) = start_q + delta * sigma(s / T) with the normalized profile
     sigma(tau) = 10 tau^3 - 15 tau^4 + 6 tau^5, so velocity and acceleration
-    vanish at both endpoints. A start_rate v adds v (s - 6 s^3/T^2 + 8 s^4/T^3
-    - 3 s^5/T^4), which starts at rate v and vanishes with its rates at T.
+    vanish at both endpoints. A start_rate v adds v (s - 6 s^3/T^2 + 8 s^4/T^3 - 3 s^5/T^4): it starts
+    at rate v, rests at T and brakes over the whole plan, outside limit_respecting_duration's margins;
+    its acceleration peaks at 3.94 |v|/T near T/4, and it carries the joint 16/81 |v| T along v to T/3.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -100,7 +100,7 @@ def limit_respecting_duration(model: ManipulatorModel, delta_q: np.ndarray, requ
 
 
 def braking_duration(model: ManipulatorModel, q_dot: np.ndarray, rate: float) -> float:
-    """Time to brake from q_dot at half the acceleration box, at least four cycles at rate."""
+    """Time to brake from q_dot at a constant half of the acceleration box, at least four cycles at rate."""
     return max(float(np.max(np.abs(q_dot) / (0.5 * model.q_ddot_max))), 4.0 / rate)
 
 

@@ -74,6 +74,11 @@ def test_wide_spread_resolves_when_every_change_run_is_better(bench_pairs):
     assert (row["wins"], row["verdict"]) == (5, "unresolved")
 
 
+def test_fewer_than_ten_pairs_is_never_a_gain(bench_pairs):
+    assert summary(bench_pairs, PARENT[:9], [v - 5.0 for v in PARENT[:9]])["verdict"] == "unresolved"
+    assert summary(bench_pairs, [14.5], [9.5])["verdict"] == "within bound"
+
+
 def test_higher_is_better_metric(bench_pairs):
     assert summary(bench_pairs, PARENT, [v + 5.0 for v in PARENT], HIGHER)["verdict"] == "gain"
     row = summary(bench_pairs, PARENT, [v - 5.0 for v in PARENT], HIGHER)

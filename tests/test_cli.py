@@ -209,6 +209,15 @@ def test_invalid_top_level_scenario_value_is_usage_error(tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 
+def test_overflow_between_equal_time_waypoints_is_accepted(tmp_path):
+    # the hand jumps at 1 s and never follows the zero-length segment between
+    # equal-time waypoints, so a difference that overflows there gives no speed
+    scenario = write_scenario(tmp_path / "scenario.json", controller="pd",
+                              hand_motion=[[1, -1e308, 0, 0], [1, 1e308, 0, 0]])
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "episode.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_unreachable_hand_pose_leaves_no_output_directory(tmp_path, capsys, command):
     # IK does not converge inside the episode: a runtime error, after which
@@ -320,6 +329,16 @@ def test_train_missing_dataset(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "void"),
                  "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
     assert not (tmp_path / "o").exists()
+
+
+def test_train_out_that_cannot_be_created_fails_before_training(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--sequences", "4", "--seed", "2", "--out", str(data_dir)]) == EXIT_OK
+    (tmp_path / "file").write_text("")
+    trained = []
+    monkeypatch.setattr("handover_sim.cli.train", lambda *args: trained.append(args))
+    assert main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "file")]) == EXIT_RUNTIME
+    assert not trained
 
 
 # ---------------------------------------------------------------------------

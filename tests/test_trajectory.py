@@ -188,6 +188,24 @@ def test_start_rate_quintic_meets_its_boundary_conditions(plan, data):
     assert duration == T
 
 
+@settings(max_examples=100, deadline=None)
+@given(_plans, st.data())
+def test_start_rate_term_brakes_over_the_whole_plan(plan, data):
+    # with start = end only the start-rate term is left: its acceleration
+    # peaks at 3.94 |v|/T near T/4, and it carries the joint 16/81 |v| T
+    # along v, at T/3, before it turns back
+    q0, _, T = plan
+    v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(q0), max_size=len(q0))))
+    grid = np.linspace(0.0, T, 3001)
+    values = np.vander(grid, POLY_ROWS, increasing=True) @ segment(q0, q0, T, v).coeffs
+    n = len(q0)
+    q, q_ddot = values[:, :n], values[:, 2 * n:]
+    assert np.abs(np.abs(q_ddot).max(axis=0) - 3.9402 * np.abs(v) / T).max() <= 1e-4 * np.abs(v).max() / T + 1e-9
+    along = np.sign(v) * (q - q0)
+    assert np.abs(along.max(axis=0) - 16 / 81 * np.abs(v) * T).max() <= 1e-9 * (1.0 + np.abs(v).max() * T)
+    assert np.abs(along[1000] - 16 / 81 * np.abs(v) * T).max() <= 1e-9 * (1.0 + np.abs(v).max() * T)
+
+
 def test_fit_reproduces_low_degree_polynomials():
     # a linear plan zero-padded to the plan degree stays exactly linear
     poly = np.zeros((POLY_ROWS, 1))

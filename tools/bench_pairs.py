@@ -2,14 +2,16 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload closed_loop_baseline --pairs 10
 
-Runs ``perfbench/run.py`` for one workload in each checkout, alternating which
-side runs first, and reads the JSON object on the last line of each run's
-output. For every end-to-end metric that the change's BENCHMARK.json names it
-prints each side's median, the change's wins over the pairs (ties count for
-neither), the parent's interquartile range and a verdict:
+Runs ``perfbench/run.py`` for one workload in each checkout, for BENCHMARK.json's
+run_seconds at perfbench's default seed, alternating which side runs first,
+and reads the JSON object on the last line of each run's output. For every
+end-to-end metric that the change's BENCHMARK.json names it prints each
+side's median, the change's wins over the pairs (ties count for neither), the
+parent's interquartile range and a verdict:
 
-- ``gain``: the change wins at least nine tenths of the pairs and its median
-  is better than the parent's by more than the parent's interquartile range;
+- ``gain``: over at least ten pairs, the change wins at least nine tenths of
+  them and its median is better than the parent's by more than the parent's
+  interquartile range;
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's bound;
 - ``unresolved``: the parent's interquartile range is wider than the bound and
@@ -62,7 +64,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
         sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = int(np.count_nonzero(sign * c < sign * p))
         gap = sign * (p_med - c_med)          # > 0: the change's median is better
-        if 10 * wins >= 9 * len(p) and gap > iqr:
+        if len(p) >= 10 and 10 * wins >= 9 * len(p) and gap > iqr:
             verdict = "gain"
         elif -gap > bound * abs(p_med):
             verdict = "worse"
@@ -80,9 +82,8 @@ def failures(results: list[dict]) -> tuple[int, int]:
     return sum(int(r["failed"]) for r in results), sum(int(r["attempted"]) for r in results)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return parse_result(done.stdout)
 
@@ -93,26 +94,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
 
     parent, change = [], []
     for i in range(args.pairs):
         sides = [("parent", args.parent, parent), ("change", args.change, change)]
         for label, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
-            results.append(run_once(checkout, args.workload, args.seed, seconds))
+            results.append(run_once(checkout, args.workload, seconds))
             print(f"pair {i + 1}/{args.pairs} {label}: "
                   + " ".join(f"{m['name']}={_value(results[-1], m['name']):.4g}" for m in spec["end_to_end"]),
                   flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} pairs of {seconds:g} s, seed {args.seed}")
+    print(f"\n{args.workload}, {args.pairs} pairs of {seconds:g} s")
     print(f"{'metric':<18} {'parent':>10} {'change':>10} {'wins':>6} {'parent IQR':>11}  verdict")
     for row in summarize(parent, change, spec["end_to_end"]):
         print(f"{row['name']:<18} {row['parent_median']:>10.4g} {row['change_median']:>10.4g} "
