@@ -22,7 +22,8 @@ import numpy as np
 from .config import apply_overrides, load_json
 from .detector.curves import generate_handover_sequence, sample_curve_params
 from .detector.dataset import load_sequence_csv, save_sequence_csv, window_dataset
-from .detector.network import HIDDEN, init_network, load_weights, save_weights
+from .detector.network import HIDDEN, NetworkParams, init_network, load_weights, save_weights
+from .detector.runtime import WINDOW
 from .detector.training import TrainingConfig, evaluate_loss, train
 from .harness import (
     ARMS,
@@ -42,6 +43,10 @@ EXIT_RUNTIME = 2
 EXIT_EPISODE_FAILURE = 3
 
 OUTPUT_DIR_ENV = "HANDOVER_SIM_OUT"
+
+# Reading rates that agree to this relative tolerance are the same rate: a
+# rate worked out from a CSV's t column is rounded to 6 significant digits.
+RATE_TOLERANCE = 1e-5
 
 
 class UsageError(Exception):
@@ -76,6 +81,34 @@ def _scenario_from_args(args) -> Scenario:
         return Scenario(**data)
     except (TypeError, ValueError) as exc:  # a value or nested key the scenario rejects
         raise UsageError(str(exc)) from exc
+
+
+def _reading_rate(sequences) -> float:
+    """The one reading rate of the sequences, worked out from their t columns."""
+    rates = [float(f"{(len(s.times) - 1) / (s.times[-1] - s.times[0]):.6g}") for s in sequences if len(s) > 1]
+    if not rates:
+        raise UsageError("the sequences in --dataset have fewer than two readings each")
+    if not all(math.isclose(r, rates[0], rel_tol=RATE_TOLERANCE) for r in rates):
+        raise UsageError(f"the sequences in --dataset have different reading rates "
+                         f"({min(rates):g} to {max(rates):g} Hz)")
+    return rates[0]
+
+
+def _load_network(path: str, control_rate: float) -> NetworkParams:
+    """Weights trained on the monitor's window at the scenario's reading rate.
+
+    Files saved before train recorded window and rate were all trained on
+    500-reading windows at 500 Hz.
+    """
+    network, meta = load_weights(path)
+    window, rate = int(meta.get("window", 500)), float(meta.get("rate", 500.0))
+    if window != WINDOW:
+        raise UsageError(f"weights {path} were trained on {window}-reading windows, "
+                         f"but the release monitor scores {WINDOW}-reading windows")
+    if not math.isclose(rate, control_rate, rel_tol=RATE_TOLERANCE):
+        raise UsageError(f"weights {path} were trained on readings at {rate:g} Hz, "
+                         f"but the scenario's control_rate is {control_rate:g} Hz")
+    return network
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -144,6 +177,7 @@ def cmd_train(args) -> int:
     if not files:
         raise FileNotFoundError(f"no sequence CSVs found in {dataset_dir}")
     sequences = [load_sequence_csv(f) for f in files]
+    rate = _reading_rate(sequences)
     n_val = max(1, int(len(sequences) * args.val_fraction))
     val_set = window_dataset(sequences[:n_val], cfg.window, cfg.stride)
     train_set = window_dataset(sequences[n_val:], cfg.window, cfg.stride)
@@ -163,7 +197,8 @@ def cmd_train(args) -> int:
     weights_path = out / "weights.npz"
     save_weights(
         params, weights_path,
-        meta={"train_loss": best_loss, "val_loss": val_loss, "seed": cfg.seed},
+        meta={"train_loss": best_loss, "val_loss": val_loss, "seed": cfg.seed,
+              "window": cfg.window, "stride": cfg.stride, "rate": rate},
     )
     with open(out / "history.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -194,7 +229,7 @@ def cmd_simulate(args) -> int:
     if scenario.release == "network":
         if not args.weights:
             raise UsageError("release='network' requires --weights")
-        network, _ = load_weights(args.weights)
+        network = _load_network(args.weights, scenario.control_rate)
     result = run_handover(scenario, network=network)
     out = _out_dir(args)  # only after the episode ran, so a failed run leaves no directory
     write_episode_csv(result, out / "episode.csv")
@@ -234,7 +269,7 @@ def cmd_compare(args) -> int:
     if any(release == "network" for _, release in arms.values()):
         if not args.weights:
             raise UsageError("the proposed arm requires --weights")
-        network, _ = load_weights(args.weights)
+        network = _load_network(args.weights, base.control_rate)
     batch = evaluate_batch(scenarios, arms=arms, network=network)
     out = _out_dir(args)  # only after the episodes ran, so a failed run leaves no directory
     write_batch_csvs(batch, out / "episodes.csv", out / "summary.csv")

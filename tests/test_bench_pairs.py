@@ -92,3 +92,49 @@ def test_failures_sum_over_runs(bench_pairs):
 def test_unpaired_results_rejected(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.summarize(results(PARENT), results(PARENT[:9]), [LOWER])
+
+
+def test_failure_report_refuses_a_larger_failed_share_or_an_incorrect_change_run(bench_pairs):
+    clean = results([1.0, 2.0])
+    lines, refused = bench_pairs.failure_report(clean, clean)
+    assert lines == ["parent: 0 of 8 operations failed (0.00%)", "change: 0 of 8 operations failed (0.00%)"]
+    assert not refused
+    lines, refused = bench_pairs.failure_report(clean, results([1.0], failed=1) + results([2.0]))
+    assert refused
+    assert "change: 1 of 8 operations failed (12.50%)" in lines
+    assert "change: run of pair 1 is incorrect" in lines
+    assert any(line.startswith("refused: the change fails 12.50%") for line in lines)
+    assert "refused: 1 change run(s) incorrect" in lines
+    # an incorrect run is refused even when no operation failed
+    incorrect = [dict(clean[0], correct=False), clean[1]]
+    lines, refused = bench_pairs.failure_report(clean, incorrect)
+    assert refused and lines[-1] == "refused: 1 change run(s) incorrect"
+    # a parent that fails more is reported but refuses nothing
+    lines, refused = bench_pairs.failure_report(results([1.0], failed=2), results([1.0]))
+    assert not refused and "parent: run of pair 1 is incorrect" in lines
+
+
+def test_a_run_that_exits_nonzero_keeps_the_finished_pairs(bench_pairs, tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 30, "end_to_end": [LOWER],
+            "workloads": [{"name": "first"}, {"name": "second"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        workload = cmd[cmd.index("--workload") + 1]
+        calls.append(workload)
+        # the first workload's 4th run (pair 2, parent side) exits 3
+        code = 3 if workload == "first" and calls.count("first") == 4 else 0
+        line = json.dumps(results([float(len(calls))])[0])
+        return bench_pairs.subprocess.CompletedProcess(cmd, code, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code = bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert calls == ["first"] * 4 + ["second"] * 6       # no --workload: every workload runs
+    assert "pair 2/3 parent: perfbench/run.py exited with code 3" in out
+    assert "first, 1 finished pairs of 30 s" in out       # pair 2's change run is dropped
+    assert "second, 3 finished pairs of 30 s" in out
+    assert out.count("step_ms_p50") == 2 + 9              # a table row per workload, a line per finished run
+    assert "refused" not in out

@@ -13,7 +13,7 @@ from handover_sim.cli import (
     build_parser,
     main,
 )
-from handover_sim.detector import TrainingConfig, init_network, load_sequence_csv, window_dataset
+from handover_sim.detector import TrainingConfig, init_network, load_sequence_csv, save_weights, window_dataset
 from handover_sim.config import apply_overrides
 
 
@@ -275,6 +275,8 @@ def test_train_and_resume_round_trip(tmp_path):
     from handover_sim.detector import evaluate_loss, load_weights
 
     params, meta = load_weights(out / "weights.npz")
+    # the weights carry the window, stride and reading rate they were trained on
+    assert (meta["window"], meta["stride"], meta["rate"]) == (64, 32, 500.0)
     seqs = [load_sequence_csv(p) for p in sorted(data_dir.glob("seq_*.csv"))]
     val = window_dataset(seqs[:2], window=64, stride=32)
     assert abs(evaluate_loss(params, val) - meta["val_loss"]) < 1e-6
@@ -325,6 +327,20 @@ def test_train_flag_defaults_come_from_their_one_home():
                                                      cfg.stride, cfg.seed)
 
 
+def test_train_on_sequences_of_different_rates_is_usage_error(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    for i, rate in enumerate(("500", "250")):
+        assert main(["gen-data", "--sequences", "1", "--seed", str(i), "--rate", rate,
+                     "--out", str(tmp_path / rate)]) == EXIT_OK
+        data_dir.mkdir(exist_ok=True)
+        (tmp_path / rate / "seq_00000.csv").rename(data_dir / f"seq_{i:05d}.csv")
+    code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"),
+                 "--epochs", "1", "--window", "64", "--stride", "32"])
+    assert code == EXIT_USAGE
+    assert "different reading rates (250 to 500 Hz)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_dataset(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "void"),
                  "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
@@ -366,6 +382,39 @@ def test_compare_zero_episodes(tmp_path):
 
 def test_compare_proposed_requires_weights(tmp_path):
     assert main(["compare", "--episodes", "1", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# weights contract
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--release", "network"],
+    ["compare", "--episodes", "1", "--arms", "proposed-only"],
+])
+@pytest.mark.parametrize("meta, scenario, message", [
+    ({"window": 200, "rate": 500.0}, {}, "200-reading windows"),
+    ({"window": 500, "rate": 1000.0}, {}, "readings at 1000 Hz"),
+    ({}, {"control_rate": 250.0}, "readings at 500 Hz"),   # no keys: 500 readings at 500 Hz
+])
+def test_weights_window_or_rate_mismatch_is_usage_error(tmp_path, capsys, command, meta, scenario, message):
+    weights = tmp_path / "weights.npz"
+    save_weights(init_network(hidden=4, dense1=8, dense2=4), weights, meta=meta)
+    path = write_scenario(tmp_path / "scenario.json", **scenario)
+    code = main([*command, "--scenario", str(path), "--weights", str(weights), "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("meta", [{}, {"window": 500, "rate": 500.0}])
+def test_weights_matching_the_monitor_are_accepted(tmp_path, meta):
+    weights = tmp_path / "weights.npz"
+    save_weights(init_network(hidden=4, dense1=8, dense2=4), weights, meta=meta)
+    path = write_scenario(tmp_path / "scenario.json")
+    code = main(["simulate", "--release", "network", "--scenario", str(path),
+                 "--weights", str(weights), "--out", str(tmp_path / "o")])
+    assert code in (EXIT_OK, EXIT_EPISODE_FAILURE)   # an untrained net may never release
+    assert (tmp_path / "o" / "episode.csv").exists()
 
 
 # ---------------------------------------------------------------------------

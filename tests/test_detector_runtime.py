@@ -1,6 +1,8 @@
 import math
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,7 +25,15 @@ from handover_sim.detector import (
 
 def small_monitor(window=20, consecutive=3, seed=0):
     net = init_network(hidden=4, dense1=8, dense2=4, seed=seed)
-    return ReleaseMonitor(net, window=window, consecutive_required=consecutive)
+    mon = ReleaseMonitor(net, window=window)
+    mon.consecutive_required = consecutive
+    return mon
+
+
+def never_releasing(net, **kwargs) -> ReleaseMonitor:
+    mon = ReleaseMonitor(net, **kwargs)
+    mon.consecutive_required = 10**9
+    return mon
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +93,31 @@ def pair_score(net, window: np.ndarray) -> float:
     return float(predict_batch(net, np.stack([window, np.zeros_like(window)]))[0, 1])
 
 
+@contextmanager
+def counted_cell_steps(mon: ReleaseMonitor):
+    """Count the monitor's calls of the shared LSTM cell: steps[True] inside
+    infer, steps[False] outside it. Each call is one cell step of the state
+    block."""
+    steps = {True: 0, False: 0}
+    inside = False
+    cell, infer = runtime._lstm_cell, mon.infer
+
+    def counting_cell(*args):
+        steps[inside] += 1
+        return cell(*args)
+
+    def traced_infer():
+        nonlocal inside
+        inside = True
+        try:
+            return infer()
+        finally:
+            inside = False
+
+    with patch.object(runtime, "_lstm_cell", counting_cell), patch.object(mon, "infer", traced_infer):
+        yield steps
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     dtype=st.sampled_from([np.float32, np.float64]),
@@ -92,28 +127,34 @@ def pair_score(net, window: np.ndarray) -> float:
     seed=st.integers(0, 2**16),
 )
 @example(dtype=np.float32, hidden=4, window=20, period=10, seed=0)  # W % P == 0
-@example(dtype=np.float64, hidden=3, window=7, period=3, seed=1)  # reset inside a burst
+@example(dtype=np.float64, hidden=3, window=7, period=3, seed=1)  # W % P != 0
 @example(dtype=np.float32, hidden=6, window=4, period=9, seed=2)  # P > W
-@example(dtype=np.float64, hidden=2, window=13, period=1, seed=3)  # every push infers
+@example(dtype=np.float64, hidden=2, window=13, period=1, seed=3)  # every push scores
 @example(dtype=np.float32, hidden=1, window=1, period=1, seed=4)
-@example(dtype=np.float64, hidden=5, window=23, period=7, seed=5)  # P > 4 rows per advance, W % P != 0
+@example(dtype=np.float64, hidden=5, window=23, period=7, seed=5)
 def test_monitor_infer_equals_reference_loop(dtype, hidden, window, period, seed):
     # at every push: the score of the last window readings exactly when
-    # k % period == 0 and the window is full, nan otherwise
+    # k % period == 0 and the window is full, nan otherwise; and at most one
+    # cell step, inside infer, from the reading that starts the first window on
     net = init_network(hidden=hidden, dense1=5, dense2=3, seed=seed, dtype=dtype)
     readings = np.random.default_rng(seed).normal(scale=3.0, size=(3 * window + period, 6))
-    mon = ReleaseMonitor(net, window=window, consecutive_required=10**9, period=period)
-    for k, reading in enumerate(readings):
-        mon.step(reading)
-        if k % period == 0 and k + 1 >= window:
-            w = readings[k + 1 - window : k + 1]
-            assert mon.output == pair_score(net, w)
-            # the head can round a last-bit change in h away, so compare the
-            # scored state row too
-            h_pair, _ = network._run_lstm(net, np.stack([w, np.zeros_like(w)]))
-            assert np.array_equal(mon._pair[0], h_pair[0])
-        else:
-            assert math.isnan(mon.output)
+    mon = never_releasing(net, window=window, period=period)
+    first = (1 - window) % period   # the reading that starts the first window
+    with counted_cell_steps(mon) as steps:
+        for k, reading in enumerate(readings):
+            before = steps[True]
+            mon.step(reading)
+            assert steps[True] - before == (k >= first)
+            assert steps[False] == 0
+            if k % period == 0 and k + 1 >= window:
+                w = readings[k + 1 - window : k + 1]
+                assert mon.output == pair_score(net, w)
+                # the head can round a last-bit change in h away, so compare
+                # the scored state row too
+                h_pair, _ = network._run_lstm(net, np.stack([w, np.zeros_like(w)]))
+                assert np.array_equal(mon._pair[0], h_pair[0])
+            else:
+                assert math.isnan(mon.output)
 
 
 def test_monitors_sharing_weights_are_independent():
@@ -155,7 +196,7 @@ GOLDEN_DEFAULT_SCORES = [
 def test_default_monitor_scores_pinned():
     net = init_network(seed=11, dtype=np.float32)
     seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
-    mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
+    mon = never_releasing(net, period=10)
     scores = []
     # The scores were pinned after readings 10, 20, ...; one leading reading,
     # never inside a scored window, puts those at step's k % 10 == 0 phase.
@@ -168,48 +209,28 @@ def test_default_monitor_scores_pinned():
     assert scores == GOLDEN_DEFAULT_SCORES
 
 
-def test_default_size_monitor_equals_reference_loop(monkeypatch):
-    # window 500, period 10, hidden 64: 50 slots step together in one gemm.
-    # Each call of the shared cell is one cell step of the block, so counting
-    # those calls shows how many rows a push steps and that only infer steps
-    # them.
+def test_default_size_monitor_equals_reference_loop():
+    # window 500, period 10, hidden 64: 50 slots step together in one gemm,
+    # one reading per push
     net, _ = load_weights(Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz")
     seq = generate_handover_sequence(LoadCurveParams(f_L0=5.0, seed=3), 3.0, 500.0)
-    mon = ReleaseMonitor(net, consecutive_required=10**9, period=10)
-    steps = {True: 0, False: 0}   # cell steps inside / outside infer
-    inside = False
-
-    def counting_cell(*args, cell=runtime._lstm_cell):
-        steps[inside] += 1
-        return cell(*args)
-
-    def traced_infer(infer=mon.infer):
-        nonlocal inside
-        inside = True
-        try:
-            return infer()
-        finally:
-            inside = False
-
-    monkeypatch.setattr(runtime, "_lstm_cell", counting_cell)
-    monkeypatch.setattr(mon, "infer", traced_infer)
+    mon = never_releasing(net, period=10)
     scored = 0
     per_push = []
-    for k, reading in enumerate(seq.wrench):
-        before = steps[True]
-        mon.step(reading)
-        per_push.append(steps[True] - before)
-        if not math.isnan(mon.output):
-            assert mon.output == pair_score(net, seq.wrench[k - 499 : k + 1]), k
-            scored += 1
+    with counted_cell_steps(mon) as steps:
+        for k, reading in enumerate(seq.wrench):
+            before = steps[True]
+            mon.step(reading)
+            per_push.append(steps[True] - before)
+            if not math.isnan(mon.output):
+                assert mon.output == pair_score(net, seq.wrench[k - 499 : k + 1]), k
+                scored += 1
     assert scored == 100
     assert steps[False] == 0
-    assert max(per_push) == 4
-    # reading 0 starts no scored window, so it is never stepped; readings
-    # 1-1498 are stepped once each, in pushes k % 10 in {4, 8, 0}, and the
-    # last reading is still pending
-    assert sum(per_push) == len(seq.wrench) - 2
-    assert [per_push[k] for k in range(11, 21)] == [0, 0, 0, 4, 0, 0, 0, 4, 0, 2]
+    assert max(per_push) == 1
+    # reading 0 starts no scored window, so it is never stepped; every later
+    # reading is stepped by its own push, so nothing is left pending
+    assert sum(per_push) == len(seq.wrench) - 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -219,7 +240,7 @@ def test_monitor_saturating_readings_raise_no_warning(dtype):
     # saturate to 0 or 1 without an overflow warning, and the scores stay finite
     net = init_network(hidden=8, dense1=8, dense2=4, seed=9, dtype=dtype)
     readings = np.random.default_rng(9).normal(scale=1e4, size=(60, 6))
-    mon = ReleaseMonitor(net, window=20, consecutive_required=10**9, period=5)
+    mon = never_releasing(net, window=20, period=5)
     scores = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -241,11 +262,11 @@ def test_monitor_debounce_and_absorbing():
     assert all(d == RELEASE for d in decisions[7:])
 
 
-def test_monitor_advance_only_pushes_keep_the_streak():
-    # period 10: pushes k % 10 in {4, 8} only advance the state block, so
-    # they neither score nor break the run of positive scores at k = 10, 20, 30
-    mon = ReleaseMonitor(init_network(hidden=4, dense1=8, dense2=4), window=5,
-                         consecutive_required=3, period=10)
+def test_monitor_non_scoring_pushes_keep_the_streak():
+    # period 10: pushes with k % 10 != 0 step the state block but do not
+    # score, so they do not break the run of positive scores at k = 10, 20, 30
+    mon = ReleaseMonitor(init_network(hidden=4, dense1=8, dense2=4), window=5, period=10)
+    mon.consecutive_required = 3
     mon.threshold_prob = 1e-12  # every score is a positive
     rng = np.random.default_rng(7)
     decisions = [mon.step(rng.normal(size=6)) for _ in range(31)]
@@ -273,10 +294,6 @@ def test_monitor_validation():
     with pytest.raises(ValueError):
         ReleaseMonitor(net, window=0)
     with pytest.raises(ValueError):
-        ReleaseMonitor(net, threshold_prob=1.5)
-    with pytest.raises(ValueError):
-        ReleaseMonitor(net, consecutive_required=0)
-    with pytest.raises(ValueError):
         ReleaseMonitor(net, period=0)
 
 
@@ -285,12 +302,12 @@ def test_monitor_period_phase(period, window):
     # push k+1 infers exactly when k % period == 0 and the window is full,
     # and output carries that score (nan in every other cycle)
     net = init_network(hidden=4, dense1=8, dense2=4, seed=0)
-    mon = ReleaseMonitor(net, window=window, consecutive_required=1000, period=period)
+    mon = never_releasing(net, window=window, period=period)
     rows = np.random.default_rng(period).normal(size=(40, 6))
     for k, row in enumerate(rows):
         mon.step(row)
         if k % period == 0 and k + 1 >= window:
-            ref = ReleaseMonitor(net, window=window, consecutive_required=1000)
+            ref = never_releasing(net, window=window)
             for r in rows[k + 1 - window : k + 1]:
                 ref.step(r)
             assert mon.output == ref.output
@@ -322,7 +339,7 @@ def clean_sequence(f_L0=5.0, **kwargs):
 
 def test_threshold_release_timing_on_clean_transfer():
     seq = clean_sequence()
-    mon = ThresholdReleaseMonitor(500.0, theta=0.8, hold_time=0.05, calibration_time=0.5)
+    mon = ThresholdReleaseMonitor(500.0)
     release_idx = None
     for k in range(len(seq)):
         if mon.push(seq.wrench[k]) == RELEASE:
@@ -367,7 +384,7 @@ def test_threshold_survives_short_pulse():
 
 def test_threshold_step_output_is_load_over_calibrated_weight():
     seq = clean_sequence(noise_sigma=0.05)
-    mon = ThresholdReleaseMonitor(500.0, calibration_time=0.5)
+    mon = ThresholdReleaseMonitor(500.0)
     outputs = []
     for reading in seq.wrench[:600]:
         mon.step(reading)
@@ -379,12 +396,6 @@ def test_threshold_step_output_is_load_over_calibrated_weight():
 
 
 def test_threshold_calibration_validation():
-    with pytest.raises(ValueError, match="calibration"):
-        ThresholdReleaseMonitor(500.0, calibration_time=0.0)
-    with pytest.raises(ValueError, match="theta"):
-        ThresholdReleaseMonitor(500.0, theta=1.0)
-    with pytest.raises(ValueError, match="hold_time"):
-        ThresholdReleaseMonitor(500.0, hold_time=0.0)
     with pytest.raises(ValueError, match="rate"):
         ThresholdReleaseMonitor(math.nan)
 

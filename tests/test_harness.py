@@ -352,7 +352,6 @@ def test_threshold_baseline_succeeds_at_every_rate():
 
 
 def test_failed_release_outcome():
-    # theta so strict the threshold can never fire
     sc = quick_scenario(load_curve={"noise_sigma": 0.3})
     sc = dataclasses.replace(sc, object_mass=0.001)  # load buried in noise
     res = run_handover(sc)

@@ -1,13 +1,16 @@
 """Paired benchmark runs of a parent and a change checkout, and a verdict per end-to-end metric.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --workload closed_loop_baseline --pairs 10
+    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10
+    python3 tools/bench_pairs.py --parent ../parent --workload closed_loop_baseline
 
-Runs ``perfbench/run.py`` for one workload in each checkout, for BENCHMARK.json's
-run_seconds at perfbench's default seed, alternating which side runs first,
-and reads the JSON object on the last line of each run's output. For every
-end-to-end metric that the change's BENCHMARK.json names it prints each
-side's median, the change's wins over the pairs (ties count for neither), the
-parent's interquartile range and a verdict:
+Runs ``perfbench/run.py`` in each checkout for every workload of
+BENCHMARK.json, or for the workloads named by ``--workload`` (repeatable),
+for BENCHMARK.json's run_seconds at perfbench's default seed, alternating
+which side runs first, and reads the JSON object on the last line of each
+run's output. For each workload it prints one table: for every end-to-end
+metric that the change's BENCHMARK.json names, each side's median, the
+change's wins over the pairs (ties count for neither), the parent's
+interquartile range and a verdict:
 
 - ``gain``: over at least ten pairs, the change wins at least nine tenths of
   them and its median is better than the parent's by more than the parent's
@@ -18,7 +21,12 @@ parent's interquartile range and a verdict:
   not every change run reads better than every parent run;
 - ``within bound`` otherwise.
 
-It also prints the failed and attempted operations of each side.
+Under the table it prints each side's share of failed operations and every
+run whose ``correct`` is false, and a ``refused`` line when the change fails
+a larger share of operations than the parent or any change run is incorrect.
+A run that exits non-zero is reported with its side, pair and exit code; the
+workload's pairs stop there and the finished ones are summarized. The exit
+status is 1 when a run exited non-zero or a workload was refused, else 0.
 """
 
 from __future__ import annotations
@@ -82,44 +90,81 @@ def failures(results: list[dict]) -> tuple[int, int]:
     return sum(int(r["failed"]) for r in results), sum(int(r["attempted"]) for r in results)
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+def failure_report(parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
+    """Each side's share of failed operations and its incorrect runs, and
+    whether the change is refused: it fails a larger share of operations than
+    the parent, or any of its runs is incorrect."""
+    lines, shares = [], []
+    for label, results in (("parent", parent), ("change", change)):
+        failed, attempted = failures(results)
+        shares.append(failed / attempted if attempted else 0.0)
+        lines.append(f"{label}: {failed} of {attempted} operations failed ({shares[-1]:.2%})")
+        lines += [f"{label}: run of pair {i + 1} is incorrect" for i, r in enumerate(results) if not r["correct"]]
+    incorrect = sum(not r["correct"] for r in change)
+    if shares[1] > shares[0]:
+        lines.append(f"refused: the change fails {shares[1]:.2%} of operations against the parent's {shares[0]:.2%}")
+    if incorrect:
+        lines.append(f"refused: {incorrect} change run(s) incorrect")
+    return lines, shares[1] > shares[0] or incorrect > 0
+
+
+def run_once(checkout: Path, workload: str, seconds: float) -> dict | int:
+    """The result of one perfbench run, or its exit code if it exited non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_result(done.stdout)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    return parse_result(done.stdout) if done.returncode == 0 else done.returncode
+
+
+def bench_workload(args, spec: dict, workload: str) -> bool:
+    """Run and summarize the pairs of one workload; True if it passes."""
+    seconds, metrics = float(spec["run_seconds"]), spec["end_to_end"]
+    parent, change = [], []
+    exited = False
+    for i in range(args.pairs):
+        sides = [("parent", args.parent, parent), ("change", args.change, change)]
+        for label, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
+            result = run_once(checkout, workload, seconds)
+            if isinstance(result, int):
+                print(f"pair {i + 1}/{args.pairs} {label}: perfbench/run.py exited with code {result}", flush=True)
+                exited = True
+                break
+            results.append(result)
+            print(f"pair {i + 1}/{args.pairs} {label}: "
+                  + " ".join(f"{m['name']}={_value(result, m['name']):.4g}" for m in metrics), flush=True)
+        if exited:
+            break
+    pairs = min(len(parent), len(change))   # an unfinished pair is dropped
+    parent, change = parent[:pairs], change[:pairs]
+
+    print(f"\n{workload}, {pairs} finished pairs of {seconds:g} s")
+    if not pairs:
+        return False
+    print(f"{'metric':<18} {'parent':>10} {'change':>10} {'wins':>6} {'parent IQR':>11}  verdict")
+    for row in summarize(parent, change, metrics):
+        print(f"{row['name']:<18} {row['parent_median']:>10.4g} {row['change_median']:>10.4g} "
+              f"{row['wins']:>3}/{row['pairs']:<2} {row['parent_iqr']:>11.3g}  {row['verdict']}")
+    lines, refused = failure_report(parent, change)
+    print("\n".join(lines) + "\n", flush=True)
+    return not (exited or refused)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="workload to run, repeatable (default: every workload in BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
+    names = [w["name"] for w in spec["workloads"]]
+    for workload in args.workload or []:
+        if workload not in names:
+            parser.error(f"unknown workload {workload!r}")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    seconds = float(spec["run_seconds"])
-
-    parent, change = [], []
-    for i in range(args.pairs):
-        sides = [("parent", args.parent, parent), ("change", args.change, change)]
-        for label, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
-            results.append(run_once(checkout, args.workload, seconds))
-            print(f"pair {i + 1}/{args.pairs} {label}: "
-                  + " ".join(f"{m['name']}={_value(results[-1], m['name']):.4g}" for m in spec["end_to_end"]),
-                  flush=True)
-
-    print(f"\n{args.workload}, {args.pairs} pairs of {seconds:g} s")
-    print(f"{'metric':<18} {'parent':>10} {'change':>10} {'wins':>6} {'parent IQR':>11}  verdict")
-    for row in summarize(parent, change, spec["end_to_end"]):
-        print(f"{row['name']:<18} {row['parent_median']:>10.4g} {row['change_median']:>10.4g} "
-              f"{row['wins']:>3}/{row['pairs']:<2} {row['parent_iqr']:>11.3g}  {row['verdict']}")
-    for label, results in (("parent", parent), ("change", change)):
-        failed, attempted = failures(results)
-        print(f"{label}: {failed} of {attempted} operations failed")
-    return 0
+    passed = [bench_workload(args, spec, workload) for workload in args.workload or names]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
