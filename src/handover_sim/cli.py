@@ -21,9 +21,8 @@ import numpy as np
 
 from .config import apply_overrides, load_json
 from .detector.curves import generate_handover_sequence, sample_curve_params
-from .detector.dataset import load_sequence_csv, save_sequence_csv, window_dataset
+from .detector.dataset import STRIDE, WINDOW, load_sequence_csv, save_sequence_csv, window_dataset
 from .detector.network import HIDDEN, NetworkParams, init_network, load_weights, save_weights
-from .detector.runtime import WINDOW
 from .detector.training import TrainingConfig, evaluate_loss, train
 from .harness import (
     ARMS,
@@ -157,16 +156,15 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if not 0.0 < args.val_fraction < 1.0:
         raise UsageError("--val-fraction must lie in (0, 1)")
-    if args.hidden < 1:
-        raise UsageError("--hidden must be >= 1")
+    for flag, value in (("--hidden", args.hidden), ("--window", args.window), ("--stride", args.stride)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     try:
         cfg = TrainingConfig(
             batch_size=args.batch_size,
             learning_rate=args.learning_rate,
             patience=args.patience,
             balancing=args.balancing,
-            window=args.window,
-            stride=args.stride,
             seed=args.seed,
             max_epochs=args.epochs,
         )
@@ -179,8 +177,8 @@ def cmd_train(args) -> int:
     sequences = [load_sequence_csv(f) for f in files]
     rate = _reading_rate(sequences)
     n_val = max(1, int(len(sequences) * args.val_fraction))
-    val_set = window_dataset(sequences[:n_val], cfg.window, cfg.stride)
-    train_set = window_dataset(sequences[n_val:], cfg.window, cfg.stride)
+    val_set = window_dataset(sequences[:n_val], args.window, args.stride)
+    train_set = window_dataset(sequences[n_val:], args.window, args.stride)
 
     if args.resume:
         params, _ = load_weights(args.resume)
@@ -198,7 +196,7 @@ def cmd_train(args) -> int:
     save_weights(
         params, weights_path,
         meta={"train_loss": best_loss, "val_loss": val_loss, "seed": cfg.seed,
-              "window": cfg.window, "stride": cfg.stride, "rate": rate},
+              "window": args.window, "stride": args.stride, "rate": rate},
     )
     with open(out / "history.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -210,7 +208,7 @@ def cmd_train(args) -> int:
         {
             "command": "train",
             "dataset": str(dataset_dir),
-            "config": dataclasses.asdict(cfg),
+            "config": {**dataclasses.asdict(cfg), "window": args.window, "stride": args.stride},
             "epochs_run": len(history),
             "final_loss": final_loss,
             "best_loss": best_loss,
@@ -326,8 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=cfg.max_epochs, help="hard cap on epochs")
     p.add_argument("--balancing", default=cfg.balancing,
                    choices=["weighted-loss", "oversample", "undersample"])
-    p.add_argument("--window", type=int, default=cfg.window)
-    p.add_argument("--stride", type=int, default=cfg.stride)
+    p.add_argument("--window", type=int, default=WINDOW)
+    p.add_argument("--stride", type=int, default=STRIDE)
     p.add_argument("--val-fraction", type=float, default=0.25)
     p.set_defaults(func=cmd_train, seed=cfg.seed)
 

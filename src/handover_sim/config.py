@@ -43,7 +43,6 @@ ARM_JOINTS = len(_UR10E_DH)  # the joint count of the arm every episode runs
 def default_manipulator(payload_mass: float = 1.0) -> ManipulatorModel:
     """Six-DoF UR10e-class arm with documented approximate constants."""
     return ManipulatorModel(
-        joint_count=ARM_JOINTS,
         dh_rows=np.asarray(_UR10E_DH),
         q_dot_max=np.asarray(_UR10E_QD_MAX),
         q_ddot_max=np.asarray(_UR10E_QDD_MAX),

@@ -29,6 +29,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SEQUENCE_CSV_HEADER = ["t", "Fx", "Fy", "Fz", "Tx", "Ty", "Tz", "label"]
+WINDOW = 500   # readings in a window; weights record the window they were trained on
+STRIDE = 10    # readings between the starts of consecutive windows
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class WindowDataset:
 
 def window_dataset(
     sequences: Iterable[ForceSequence],
-    window: int = 500,
-    stride: int = 10,
+    window: int = WINDOW,
+    stride: int = STRIDE,
 ) -> WindowDataset:
     """Slide a window over each sequence; label each sample by its last row.
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 __all__ = [
     "NetworkParams",
@@ -34,6 +33,7 @@ __all__ = [
 
 PROB_CLAMP = 1e-7
 HIDDEN = 64                     # default LSTM width
+INPUTS = 6                      # wrench channels per reading
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ _ARRAY_NAMES = tuple(f.name for f in fields(NetworkParams))
 
 
 def init_network(
-    input_size: int = 6,
     hidden: int = HIDDEN,
     dense1: int = 512,
     dense2: int = 256,
@@ -102,7 +101,7 @@ def init_network(
         r = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-r, r, size=(rows, cols)).astype(dtype)
 
-    W_lstm = uniform(1 + input_size + hidden, 4 * hidden, input_size + hidden)
+    W_lstm = uniform(1 + INPUTS + hidden, 4 * hidden, INPUTS + hidden)
     W_lstm[0, :] = 0.0
     W_lstm[0, 2 * hidden : 3 * hidden] = 1.0  # keep early cell memory open
     return NetworkParams(
@@ -200,12 +199,15 @@ def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
 
 
 def _head_forward(params: NetworkParams, h: np.ndarray):
+    # imported here, so a process that never scores a window never loads scipy
+    from scipy.special import expit
+
     z1 = h @ params.W1 + params.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.W2 + params.b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ params.W3 + params.b3
-    return _sigmoid(z3), (h, a1, a2)
+    return expit(z3), (h, a1, a2)
 
 
 def _check_input(params: NetworkParams, X) -> np.ndarray:

@@ -21,13 +21,14 @@ import math
 
 import numpy as np
 
+from .dataset import WINDOW
 from .network import NetworkParams, _head_forward, _lstm_cell
 
 __all__ = ["ReleaseMonitor", "ThresholdReleaseMonitor", "HOLD", "RELEASE"]
 
 HOLD = "hold"
 RELEASE = "release"
-WINDOW = 500   # readings in a scored window; weights record the window they were trained on
+PERIOD = 10    # readings between scores
 
 
 class ReleaseMonitor:
@@ -38,7 +39,7 @@ class ReleaseMonitor:
     threshold_prob = 0.5
     consecutive_required = 5
 
-    def __init__(self, net: NetworkParams, window: int = WINDOW, period: int = 1):
+    def __init__(self, net: NetworkParams, window: int = WINDOW, period: int = PERIOD):
         if window < 1:
             raise ValueError("window must be >= 1")
         if period < 1:

@@ -32,6 +32,10 @@ __all__ = [
     "one_hot",
 ]
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
@@ -45,15 +49,13 @@ class TrainingConfig:
     learning_rate: float = 4e-3
     patience: int = 50
     balancing: str = "undersample"
-    window: int = 500
-    stride: int = 10
     seed: int = 0
     max_epochs: int = 500
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        check_fields(self, positive="batch_size learning_rate window stride max_epochs",
-                     non_negative="patience seed", integers="batch_size window stride max_epochs patience seed")
+        check_fields(self, positive="batch_size learning_rate max_epochs",
+                     non_negative="patience seed", integers="batch_size max_epochs patience seed")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
 
@@ -78,9 +80,6 @@ def _adam_step(
     grads: dict[str, np.ndarray],
     state: _AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> NetworkParams:
     state.t += 1
     new_arrays = {}
@@ -88,13 +87,13 @@ def _adam_step(
         g = grads[name]
         m = state.m.get(name, np.zeros_like(value))
         v = state.v.get(name, np.zeros_like(value))
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - beta1**state.t)
-        v_hat = v / (1.0 - beta2**state.t)
-        new_arrays[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - ADAM_BETA1**state.t)
+        v_hat = v / (1.0 - ADAM_BETA2**state.t)
+        new_arrays[name] = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return NetworkParams(**new_arrays)
 
 

@@ -60,6 +60,8 @@ __all__ = [
 GRAVITY = 9.81
 SPEED_TOLERANCE = 1e-6
 PINV_DAMPING = 1e-3             # damped-inverse regularization near singularities
+IK_TOLERANCE = 1e-8             # m, position_ik residual
+IK_ITERATIONS = 300
 PREMATURE_FRACTION = 0.90
 
 SUCCESS = "success"
@@ -158,15 +160,14 @@ class Scenario:
     retreat_duration: float = 0.8
     release_timeout: float = 1.0
     episode_tail: float = 0.3
-    detector_period: int = 10        # control cycles between classifier inferences
     admittance: dict = field(default_factory=dict)
     safety: dict = field(default_factory=dict)
     pd_gains: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(self, positive="object_mass control_rate plan_duration detector_period",
+        check_fields(self, positive="object_mass control_rate plan_duration",
                      non_negative="retreat_duration release_timeout episode_tail seed",
-                     finite="receiver_engagement_time", integers="detector_period seed")
+                     finite="receiver_engagement_time", integers="seed")
         if self.controller not in ("admittance", "pd"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.release not in ("network", "threshold"):
@@ -302,23 +303,17 @@ def pd_controller(
     return q_dot_des + kp * (q_des - q) + kd * (q_dot_des - q_dot)
 
 
-def position_ik(
-    model: ManipulatorModel,
-    target: np.ndarray,
-    q0: np.ndarray,
-    tol: float = 1e-9,
-    max_iters: int = 300,
-) -> np.ndarray:
+def position_ik(model: ManipulatorModel, target: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Damped least-squares position-only IK from seed q0 (deterministic)."""
     target = np.asarray(target, dtype=float).reshape(3)
     q = model.check_q(q0).copy()
     residual = math.inf
-    for _ in range(max_iters):
+    for _ in range(IK_ITERATIONS):
         frames = chain_frames(model, q)
         pose = pose_from_frames(model, frames)
         err = target - pose.position
         residual = float(np.linalg.norm(err))
-        if residual < tol:
+        if residual < IK_TOLERANCE:
             return q
         J_pos = jacobian_from_frames(model, frames)[:3]
         q = q + np.clip(damped_pinv(J_pos, PINV_DAMPING) @ err, -0.2, 0.2)
@@ -364,7 +359,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     hand_pos, hand_vel = _hand_path(scenario, max_cycles, T_r)
 
     grasp_q = np.asarray(scenario.grasp_q, dtype=float)
-    end_q = position_ik(model, scenario.handover_hand_pose, grasp_q, tol=1e-8)
+    end_q = position_ik(model, scenario.handover_hand_pose, grasp_q)
 
     def follow(poly: np.ndarray, T: float):
         """Differentiate a planned polynomial and start the timing law at its head."""
@@ -374,9 +369,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     segment, path = follow(*plan_quintic(grasp_q, end_q, plan_T))
 
     if scenario.release == "network":
-        monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(
-            network, period=scenario.detector_period
-        )
+        monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(network)
     else:
         monitor = ThresholdReleaseMonitor(scenario.control_rate)
 

@@ -8,7 +8,7 @@ follow the standard Denavit-Hartenberg convention; each joint transform is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +24,6 @@ __all__ = [
     "jacobian_dot_from_frames",
 ]
 
-ROTATION_TOL = 1e-9
-
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (..., 3) arrays (np.cross without its overhead).
@@ -40,19 +38,9 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> None:
-    rotation = np.asarray(rotation, dtype=float)
-    if rotation.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
-    if not np.allclose(rotation @ rotation.T, np.eye(3), atol=tol):
-        raise ValueError("rotation is not orthonormal")
-    if abs(np.linalg.det(rotation) - 1.0) > tol:
-        raise ValueError("rotation determinant is not +1")
-
-
 class Pose(NamedTuple):
     """Cartesian pose: position (3,) in metres plus a rotation matrix (3, 3); unchecked,
-    as pose_from_frames builds it from exact DH rotations and the checked tool rotation."""
+    as pose_from_frames builds it from exact DH rotations."""
 
     position: np.ndarray
     rotation: np.ndarray
@@ -63,26 +51,23 @@ class ManipulatorModel:
     """Kinematic description and motion limits of an n-DoF serial arm.
 
     dh_rows holds one (link_length a, link_twist alpha, link_offset d,
-    joint_angle_offset theta) tuple per joint. tool_transform is a 4x4 rigid
-    transform from the last joint frame to the tool/sensor point. The joint
-    rate and acceleration limits are symmetric: |q_dot| <= q_dot_max and
-    |q_ddot| <= q_ddot_max.
+    joint_angle_offset theta) tuple per joint; the last joint frame's origin
+    (the flange) is the tool/sensor point. The joint rate and acceleration
+    limits are symmetric: |q_dot| <= q_dot_max and |q_ddot| <= q_ddot_max.
     """
 
-    joint_count: int
     dh_rows: np.ndarray
     q_dot_max: np.ndarray
     q_ddot_max: np.ndarray
     link_masses: np.ndarray
     payload_mass: float = 0.0
-    tool_transform: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self) -> None:
-        n = int(self.joint_count)
-        if n < 1:
-            raise ValueError("joint_count must be >= 1")
-        object.__setattr__(self, "joint_count", n)
-        object.__setattr__(self, "dh_rows", np.asarray(self.dh_rows, dtype=float).reshape(n, 4))
+        dh_rows = np.asarray(self.dh_rows, dtype=float)
+        if dh_rows.ndim != 2 or dh_rows.shape[0] < 1 or dh_rows.shape[1] != 4:
+            raise ValueError(f"dh_rows must be shaped (n >= 1, 4), got {dh_rows.shape}")
+        object.__setattr__(self, "dh_rows", dh_rows)
+        n = self.joint_count
         for name in ("q_dot_max", "q_ddot_max", "link_masses"):
             vec = np.asarray(getattr(self, name), dtype=float).ravel()
             if vec.shape != (n,):
@@ -96,9 +81,6 @@ class ManipulatorModel:
             raise ValueError("link masses must be non-negative")
         if self.payload_mass < 0.0:
             raise ValueError("payload mass must be non-negative")
-        tool = np.asarray(self.tool_transform, dtype=float).reshape(4, 4)
-        _check_rotation(tool[:3, :3])
-        object.__setattr__(self, "tool_transform", tool)
         # Constant per-joint terms, precomputed for the control-rate FK path:
         # the top two rows of A_i are (cos, sin) of the joint angle times
         # these coefficients, the bottom two rows do not depend on q.
@@ -113,6 +95,10 @@ class ManipulatorModel:
             np.stack([zero, sa, ca, d], axis=1),
             np.stack([zero, zero, zero, one], axis=1),
         ], axis=1))
+
+    @property
+    def joint_count(self) -> int:
+        return len(self.dh_rows)
 
     def check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float).ravel()
@@ -130,20 +116,18 @@ class Frames(NamedTuple):
     """Cumulative chain geometry of one configuration, or of a batch of them.
 
     origins is (..., n+1, 3) with the base origin first and the last
-    joint-frame origin last (no tool offset); axes is (..., n, 3) where
+    joint-frame origin, the tool point, last; axes is (..., n, 3) where
     axes[j] is the rotation axis of joint j+1 (frame-j z axis); rotation is
-    the last joint frame's rotation matrix (..., 3, 3); tool is the tool
-    point (..., 3), tool offset included.
+    the last joint frame's rotation matrix (..., 3, 3).
     """
 
     origins: np.ndarray
     axes: np.ndarray
     rotation: np.ndarray
-    tool: np.ndarray
 
     def entry(self, index: int | tuple[int, ...]) -> "Frames":
         """The frames of one configuration of a batch."""
-        return Frames(self.origins[index], self.axes[index], self.rotation[index], self.tool[index])
+        return Frames(self.origins[index], self.axes[index], self.rotation[index])
 
 
 def chain_frames(model: ManipulatorModel, q: np.ndarray) -> Frames:
@@ -171,18 +155,15 @@ def chain_frames(model: ManipulatorModel, q: np.ndarray) -> Frames:
     T[..., 0, :, :] = _EYE4
     for j in range(n):
         np.matmul(T[..., j, :, :], A[..., j, :, :], out=T[..., j + 1, :, :])
-    origins = T[..., :3, 3].copy()
-    rotation = T[..., n, :3, :3]
     return Frames(
-        origins=origins,
+        origins=T[..., :3, 3].copy(),
         axes=T[..., :-1, :3, 2].copy(),
-        rotation=rotation,
-        tool=origins[..., -1, :] + rotation @ model.tool_transform[:3, 3],
+        rotation=T[..., n, :3, :3],
     )
 
 
 def pose_from_frames(model: ManipulatorModel, frames: Frames) -> Pose:
-    return Pose(frames.tool, frames.rotation @ model.tool_transform[:3, :3])
+    return Pose(frames.origins[..., -1, :], frames.rotation)
 
 
 def jacobian_from_frames(model: ManipulatorModel, frames: Frames) -> np.ndarray:
@@ -191,7 +172,8 @@ def jacobian_from_frames(model: ManipulatorModel, frames: Frames) -> np.ndarray:
     Rows 0-2 map joint rates to linear velocity (m/s), rows 3-5 to angular
     velocity (rad/s).
     """
-    origins, axes, _, p_tool = frames
+    origins, axes, _ = frames
+    p_tool = origins[..., -1, :]
     J = np.empty(axes.shape[:-2] + (6, model.joint_count))
     J[..., :3, :] = cross_rows(axes, p_tool[..., None, :] - origins[..., :-1, :]).swapaxes(-1, -2)
     J[..., 3:, :] = axes.swapaxes(-1, -2)
@@ -203,7 +185,7 @@ def jacobian_dot_from_frames(model: ManipulatorModel, frames: Frames, q_dot: np.
     q_dot = np.asarray(q_dot, dtype=float).ravel()
     if q_dot.shape != (model.joint_count,):
         raise ValueError(f"expected {model.joint_count} joint rates, got {q_dot.shape}")
-    origins, axes, _, p_tool = frames
+    origins, axes, _ = frames
     n = model.joint_count
 
     # Propagate frame angular velocities and origin velocities down the chain:
@@ -212,17 +194,16 @@ def jacobian_dot_from_frames(model: ManipulatorModel, frames: Frames, q_dot: np.
     omega = np.zeros((n + 1, 3))
     np.add.accumulate(q_dot[:, None] * axes, axis=0, out=omega[1:])
     spun = cross_rows(
-        np.concatenate((omega[1:], omega[n:], omega[:-1])),
-        np.concatenate((origins[1:] - origins[:-1], (p_tool - origins[n])[None], axes)),
+        np.concatenate((omega[1:], omega[:-1])),
+        np.concatenate((origins[1:] - origins[:-1], axes)),
     )
     origin_vel = np.zeros((n + 1, 3))
     np.add.accumulate(spun[:n], axis=0, out=origin_vel[1:])
-    tool_vel = origin_vel[n] + spun[n]
-    axes_dot = spun[n + 1 :]
+    axes_dot = spun[n:]
 
     moved = cross_rows(
         np.concatenate((axes_dot, axes)),
-        np.concatenate((p_tool - origins[:-1], tool_vel - origin_vel[:-1])),
+        np.concatenate((origins[n] - origins[:-1], origin_vel[n] - origin_vel[:-1])),
     )
     Jd = np.empty((6, n))
     Jd[:3] = (moved[:n] + moved[n:]).T

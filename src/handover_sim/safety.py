@@ -233,7 +233,7 @@ def link_constraints(
     coinciding with the hand gets a zero row: the direction is undefined and
     the contact-speed floor governs.
     """
-    origins, axes, _, _ = frames
+    origins, axes, _ = frames
     n = len(axes)
     hand = human.hand_position
 

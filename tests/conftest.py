@@ -22,7 +22,6 @@ def make_model(dh_rows, masses=None, payload=0.0, qd=3.0, qdd=10.0) -> Manipulat
     """Small helper for hand-built chains in tests."""
     n = len(dh_rows)
     return ManipulatorModel(
-        joint_count=n,
         dh_rows=np.asarray(dh_rows, dtype=float),
         q_dot_max=qd * np.ones(n),
         q_ddot_max=qdd * np.ones(n),

@@ -8,6 +8,7 @@ takes a few minutes on first use.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from handover_sim.detector import (
     ThresholdReleaseMonitor,
     evaluate_accuracy,
     generate_handover_sequence,
+    load_weights,
     sample_curve_params,
 )
 from handover_sim.harness import Scenario, evaluate_batch, make_batch_scenarios, run_handover
@@ -36,6 +38,8 @@ from test_admittance import _closed_loop
 from test_detector_network import small_net
 from test_kinematics import jacobian_fd
 from test_safety import _random_instance, grid_alpha, satisfies
+
+BENCH_WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz"
 
 
 def acceptance_scenario(**kwargs) -> Scenario:
@@ -175,7 +179,7 @@ def test_criterion_6_admittance_contracts(default_model):
                                np.concatenate((force, np.zeros(3))))
         qd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, 1.0 / 500.0)
         q = q + qd / 500.0
-    offset = ref.position - chain_frames(default_model, q).tool
+    offset = ref.position - chain_frames(default_model, q).origins[-1]
     expected = force / 400.0
     offset_err = float(np.linalg.norm(offset - expected) / np.linalg.norm(expected))
     assert offset_err <= 0.01
@@ -232,6 +236,13 @@ def test_criterion_7_detector_training(trained_detector):
     assert trained_detector.net.hidden == 64
     assert len(trained_detector.val_set) >= 10_000
     assert trained_detector.train_seconds <= 600.0
+    # the fixture follows perfbench/make_weights.py's recipe, undersampling
+    # included, so it reproduces the committed weights bit for bit
+    committed, _ = load_weights(BENCH_WEIGHTS)
+    trained = trained_detector.net.arrays()
+    for name, want in committed.arrays().items():
+        got = trained[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
     accuracy = evaluate_accuracy(trained_detector.net, trained_detector.val_set)
     assert accuracy >= 0.95
     _report(7, f"gradient check {worst:.1e}; H=64 net reaches {accuracy * 100:.2f}% on "

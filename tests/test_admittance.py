@@ -281,6 +281,6 @@ def test_static_compliance_converges(default_model):
         qd_cmd = damped_pinv(J, 1e-3) @ integrate_velocity(acc, xd, T_r)
         q = q + qd_cmd * T_r
         qd_meas = qd_cmd
-    displacement = x_ref.position - chain_frames(default_model, q).tool
+    displacement = x_ref.position - chain_frames(default_model, q).origins[-1]
     expected = force / 400.0
     assert np.abs(displacement - expected).max() < 0.01 * np.linalg.norm(expected) + 1e-5

@@ -25,7 +25,7 @@ from handover_sim.detector import (
 
 def small_monitor(window=20, consecutive=3, seed=0):
     net = init_network(hidden=4, dense1=8, dense2=4, seed=seed)
-    mon = ReleaseMonitor(net, window=window)
+    mon = ReleaseMonitor(net, window=window, period=1)
     mon.consecutive_required = consecutive
     return mon
 
@@ -169,8 +169,8 @@ def test_monitors_sharing_weights_are_independent():
             out.append(mon.output)
         return out
 
-    alone = [probs(ReleaseMonitor(net, window=7), rows) for rows in streams]
-    a, b = ReleaseMonitor(net, window=7), ReleaseMonitor(net, window=7)
+    alone = [probs(ReleaseMonitor(net, window=7, period=1), rows) for rows in streams]
+    a, b = ReleaseMonitor(net, window=7, period=1), ReleaseMonitor(net, window=7, period=1)
     interleaved = ([], [])
     for ra, rb in zip(*streams):
         interleaved[0].extend(probs(a, [ra]))
@@ -307,7 +307,7 @@ def test_monitor_period_phase(period, window):
     for k, row in enumerate(rows):
         mon.step(row)
         if k % period == 0 and k + 1 >= window:
-            ref = never_releasing(net, window=window)
+            ref = never_releasing(net, window=window, period=1)
             for r in rows[k + 1 - window : k + 1]:
                 ref.step(r)
             assert mon.output == ref.output

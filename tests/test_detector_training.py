@@ -29,7 +29,7 @@ def tiny_dataset(window=50, stride=5, seeds=(0, 1)):
 
 
 def tiny_config(**kwargs):
-    defaults = dict(batch_size=32, window=50, stride=5, seed=0, balancing="weighted-loss")
+    defaults = dict(batch_size=32, seed=0, balancing="weighted-loss")
     defaults.update(kwargs)
     return TrainingConfig(**defaults)
 

@@ -1,5 +1,5 @@
 """Every name a module lists in __all__ resolves, so no export outlives its definition,
-and importing the CLI loads no scipy subpackage that the run time does not use."""
+and a process that never scores a window loads no scipy."""
 
 import importlib
 import os
@@ -31,13 +31,15 @@ def test_all_entries_resolve(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
-def test_cli_import_pulls_in_no_heavy_scipy_subpackage():
-    # plans are closed-form polynomials, so nothing at run time needs scipy's
-    # interpolation stack; scipy.special (the head's expit) is the one user
+def test_cli_import_and_threshold_episode_load_no_scipy():
+    # scipy supplies only the classifier head's sigmoid, imported on the first
+    # scored window, so a process that never scores one never loads scipy
     src = str(Path(handover_sim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, handover_sim.cli; print(*sys.modules)"
+    code = ("import sys, handover_sim.cli\n"
+            "from handover_sim.harness import Scenario, run_handover\n"
+            "run_handover(Scenario(release='threshold'))\n"
+            "print(*sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    heavy = {"scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy.optimize"}
-    loaded = heavy & set(out.split())
-    assert not loaded, f"importing handover_sim.cli loaded {sorted(loaded)}"
+    loaded = [name for name in out.split() if name.partition(".")[0] == "scipy"]
+    assert not loaded, f"handover_sim.cli and a threshold episode loaded {sorted(loaded)}"

@@ -159,7 +159,7 @@ def test_batch_csv_digests(network, criterion_8_scenarios, tmp_path):
 @pytest.mark.parametrize("dtype", sorted(TINY_TRAINING))
 def test_tiny_training_digest(dtype):
     net = init_network(hidden=4, dense1=8, dense2=4, seed=5, dtype=dtype)
-    cfg = TrainingConfig(batch_size=48, window=50, stride=5, seed=3, max_epochs=2, dtype=dtype,
+    cfg = TrainingConfig(batch_size=48, seed=3, max_epochs=2, dtype=dtype,
                          balancing="weighted-loss")
     net, history = train(net, tiny_dataset(), tiny_dataset(seeds=(2,)), cfg)
     assert len(history) == 2

@@ -248,8 +248,8 @@ def test_pd_rejects_bad_gains():
 def test_position_ik_reaches_target(default_model):
     grasp = np.array([1.57, -1.0, 1.2, -1.77, -1.57, 0.0])
     target = np.array([0.6, -0.4, 0.5])
-    q = position_ik(default_model, target, grasp, tol=1e-9)
-    assert np.linalg.norm(chain_frames(default_model, q).tool - target) < 1e-8
+    q = position_ik(default_model, target, grasp)
+    assert np.linalg.norm(chain_frames(default_model, q).origins[-1] - target) < 1e-8
 
 
 def test_position_ik_unreachable_raises(default_model):
@@ -381,7 +381,7 @@ def test_compliance_corridor():
     data = res.log.data
     grasp = np.asarray(sc.grasp_q)
     model = default_manipulator(payload_mass=sc.object_mass)
-    end_q = position_ik(model, sc.handover_hand_pose, grasp, tol=1e-8)
+    end_q = position_ik(model, sc.handover_hand_pose, grasp)
     plan_T = limit_respecting_duration(model, end_q - grasp, sc.plan_duration)
     seg = fit_cubic_spline(*plan_quintic(grasp, end_q, plan_T))
     x_cols = [cols.index(c) for c in ("x", "y", "z")]
@@ -390,7 +390,7 @@ def test_compliance_corridor():
         if data[k, cols.index("gripper")] > 0:
             break  # retreat replans the reference
         q_des = sample_spline(seg, data[k, cols.index("s")])[0]
-        x_des = chain_frames(model, q_des).tool
+        x_des = chain_frames(model, q_des).origins[-1]
         worst = max(worst, float(np.linalg.norm(data[k, x_cols] - x_des)))
     bound = (sc.object_mass * 9.81 + 3.0) / 400.0  # payload + pull, K_trans
     assert worst < 1.5 * bound + 0.01

@@ -1,4 +1,3 @@
-import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -87,20 +86,6 @@ def test_fk_rotation_orthonormal(default_model):
 def test_fk_dimension_mismatch(default_model):
     with pytest.raises(ValueError):
         chain_frames(default_model, np.zeros(5))
-
-
-def test_fk_applies_tool_transform():
-    tool = np.eye(4)
-    tool[:3, 3] = [0.0, 0.0, 0.2]
-    model = ManipulatorModel(
-        joint_count=1,
-        dh_rows=[[1.0, 0.0, 0.0, 0.0]],
-        q_dot_max=[1.0], q_ddot_max=[1.0],
-        link_masses=[1.0],
-        tool_transform=tool,
-    )
-    pose = pose_from_frames(model, chain_frames(model, [0.0]))
-    assert np.allclose(pose.position, [1.0, 0.0, 0.2], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +183,7 @@ def test_link_positions_last_equals_fk(default_model):
         q = rng.uniform(-np.pi, np.pi, 6)
         frames = chain_frames(default_model, q)
         pose = pose_from_frames(default_model, frames)
-        assert np.abs(frames.origins[-1] - pose.position).max() < 1e-12  # tool transform is identity
+        assert np.array_equal(frames.origins[-1], pose.position)  # the flange is the tool point
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +218,22 @@ def test_model_validation_errors():
         make_model([[1.0, 0, 0, 0]], qdd=0.0)  # bad acceleration bounds
     with pytest.raises(ValueError):
         make_model([[1.0, 0, 0, 0]], masses=[-1.0])
-    with pytest.raises(ValueError):
-        ManipulatorModel(
-            joint_count=0, dh_rows=np.zeros((0, 4)),
-            q_dot_max=[], q_ddot_max=[], link_masses=[],
-        )
 
 
-def test_model_rejects_bad_tool_rotation():
-    tool = np.eye(4)
-    tool[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        ManipulatorModel(
-            joint_count=1, dh_rows=[[1, 0, 0, 0]],
-            q_dot_max=[1], q_ddot_max=[1],
-            link_masses=[1.0], tool_transform=tool,
-        )
+@pytest.mark.parametrize("dh_rows", [np.zeros((0, 4)), [1.0, 0, 0, 0], [[1.0, 0, 0]], [[[1.0, 0, 0, 0]]]])
+def test_model_rejects_dh_rows_not_shaped_n_by_4(dh_rows):
+    with pytest.raises(ValueError, match="dh_rows"):
+        ManipulatorModel(dh_rows=dh_rows, q_dot_max=[1.0], q_ddot_max=[1.0], link_masses=[1.0])
+
+
+def test_joint_count_is_the_dh_row_count(default_model, two_link_planar):
+    assert (default_model.joint_count, two_link_planar.joint_count) == (6, 2)
 
 
 # ---------------------------------------------------------------------------
 # batched chain geometry: every stacked entry equals the single call, bit for bit
 
-def _tooled_arm() -> ManipulatorModel:
-    """Default arm with a rotated, offset tool, so the tool point is non-trivial."""
-    base = default_manipulator()
-    c, s = np.cos(0.3), np.sin(0.3)
-    tool = np.array([[c, -s, 0.0, 0.02], [s, c, 0.0, -0.01], [0.0, 0.0, 1.0, 0.15], [0.0, 0.0, 0.0, 1.0]])
-    return dataclasses.replace(base, tool_transform=tool)
-
-
-_ARMS = {"default": default_manipulator(), "tooled": _tooled_arm()}
+_ARM = default_manipulator()
 _angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 _joint_batches = hnp.arrays(
     np.float64,
@@ -277,9 +248,9 @@ def _same_bits(a, b) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(q=_joint_batches, arm=st.sampled_from(sorted(_ARMS)))
-def test_stacked_chain_frames_equal_single_calls_bitwise(q, arm):
-    model = _ARMS[arm]
+@given(q=_joint_batches)
+def test_stacked_chain_frames_equal_single_calls_bitwise(q):
+    model = _ARM
     stacked = chain_frames(model, q)
     jac = jacobian_from_frames(model, stacked)
     for index in np.ndindex(q.shape[:-1]):

@@ -46,7 +46,7 @@ def modified_jacobian(model, q: np.ndarray, versor: np.ndarray, link_index: int)
     versor = np.asarray(versor, dtype=float).reshape(3)
     if abs(np.linalg.norm(versor) - 1.0) > 1e-9:
         raise ValueError("versor must have unit norm")
-    origins, axes, _, _ = chain_frames(model, q)
+    origins, axes, _ = chain_frames(model, q)
     row = np.zeros(model.joint_count)
     point = origins[link_index]
     cols = cross_rows(axes[:link_index], point - origins[:link_index])
@@ -268,12 +268,33 @@ def grid_alpha(inst, step=1e-3, tol=1e-9):
 
     Returns None when no grid point is feasible; a feasible interval
     narrower than the step can hide between grid points.
+
+    Every alpha is checked as satisfies checks it, all at once: the same
+    element-wise products, and the link rows times each alpha's command as a
+    stack of matrix-vector products, so no result rounds differently.
     """
-    best = None
-    for alpha in np.arange(0.0, 1.0 + step / 2, step):
-        if satisfies(inst, alpha, tol):
-            best = alpha
-    return best
+    alphas = np.arange(0.0, 1.0 + step / 2, step)
+    qd = alphas[:, None] * inst["q_dot_adm"]
+    rate = (qd - inst["q_dot_current"]) / inst["T_r"]
+    directed = (inst["per_link_rows"] @ qd[:, :, None])[..., 0]
+    ok = (
+        np.all(directed <= inst["v_max_per_link"] + tol, axis=1)
+        & np.all(qd <= inst["q_dot_max"] + tol, axis=1)
+        & np.all(qd >= -inst["q_dot_max"] - tol, axis=1)
+        & np.all(rate <= inst["q_ddot_max"] + tol, axis=1)
+        & np.all(rate >= -inst["q_ddot_max"] - tol, axis=1)
+    )
+    feasible = alphas[ok]
+    return feasible[-1] if len(feasible) else None
+
+
+def test_grid_alpha_equals_the_per_alpha_loop():
+    # the oracle checks the whole grid at once; its answer is the loop's
+    rng = np.random.default_rng(20240)
+    for _ in range(30):
+        inst = _random_instance(rng)
+        feasible = [alpha for alpha in np.arange(0.0, 1.0005, 1e-3) if satisfies(inst, alpha)]
+        assert grid_alpha(inst) == (feasible[-1] if feasible else None)
 
 
 def test_alpha_all_slack():

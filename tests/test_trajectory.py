@@ -294,7 +294,7 @@ def test_to_cartesian_zero_rates(default_model):
     q = np.random.default_rng(2).uniform(-1, 1, 6)
     pose, xd, xdd = to_cartesian(default_model, q, np.zeros(6), np.zeros(6))
     assert np.allclose(xd, 0.0) and np.allclose(xdd, 0.0)
-    assert np.allclose(pose.position, chain_frames(default_model, q).tool)
+    assert np.allclose(pose.position, chain_frames(default_model, q).origins[-1])
 
 
 def test_to_cartesian_velocity_matches_fd(default_model):
@@ -305,7 +305,7 @@ def test_to_cartesian_velocity_matches_fd(default_model):
         _, xd, _ = to_cartesian(default_model, q, qd, qdd)
         qp = sample_spline(seg, s + h)[0]
         qm = sample_spline(seg, s - h)[0]
-        fd = (chain_frames(default_model, qp).tool - chain_frames(default_model, qm).tool) / (2 * h)
+        fd = (chain_frames(default_model, qp).origins[-1] - chain_frames(default_model, qm).origins[-1]) / (2 * h)
         assert np.abs(xd[:3] - fd).max() < 1e-4
 
 
