@@ -44,6 +44,10 @@ class ReleaseMonitor:
             raise ValueError("window must be >= 1")
         if period < 1:
             raise ValueError("period must be >= 1")
+        # the head's sigmoid comes from scipy, imported on first use: import it
+        # now, so that no control cycle pays for loading it
+        import scipy.special  # noqa: F401
+
         self.net = net
         self.window = window
         self.period = period

@@ -32,14 +32,20 @@ def test_all_entries_resolve(name):
 
 
 def test_cli_import_and_threshold_episode_load_no_scipy():
-    # scipy supplies only the classifier head's sigmoid, imported on the first
-    # scored window, so a process that never scores one never loads scipy
+    # scipy supplies only the classifier head's sigmoid, so a process that
+    # never scores a window never loads scipy; a network monitor loads it when
+    # built, before the episode's first control cycle rather than inside one
     src = str(Path(handover_sim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, handover_sim.cli\n"
+            "from handover_sim.detector import ReleaseMonitor, init_network\n"
             "from handover_sim.harness import Scenario, run_handover\n"
             "run_handover(Scenario(release='threshold'))\n"
+            "print(*sys.modules)\n"
+            "ReleaseMonitor(init_network(hidden=2, dense1=2, dense2=2))\n"
             "print(*sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    loaded = [name for name in out.split() if name.partition(".")[0] == "scipy"]
+    threshold, network = (line.split() for line in out.splitlines())
+    loaded = [name for name in threshold if name.partition(".")[0] == "scipy"]
     assert not loaded, f"handover_sim.cli and a threshold episode loaded {sorted(loaded)}"
+    assert "scipy.special" in network
