@@ -179,6 +179,10 @@ def cmd_train(args) -> int:
     n_val = max(1, int(len(sequences) * args.val_fraction))
     val_set = window_dataset(sequences[:n_val], args.window, args.stride)
     train_set = window_dataset(sequences[n_val:], args.window, args.stride)
+    for name, windows, count in (("validation", val_set, n_val), ("training", train_set, len(sequences) - n_val)):
+        if len(windows) == 0:
+            raise UsageError(f"no {name} windows: none of the {count} {name} sequence(s) "
+                             f"holds --window {args.window} readings")
 
     if args.resume:
         params, _ = load_weights(args.resume)

@@ -7,7 +7,11 @@ score. Forward, backward (through the unrolled recurrence), and the loss are
 all explicit so gradients can be verified against finite differences.
 
 Fused LSTM weight layout: rows [bias; input; hidden], gate columns
-[candidate | input | forget | output] each hidden-size wide.
+[candidate | input | forget | output] each hidden-size wide. The activation
+cache leaves that weight layout unchanged, and the gate products stay
+row-major (batch, 4 * hidden), but the activated gates are cached
+gate-major: one contiguous (batch, hidden) block per gate, so the cell's and
+the backward's elementwise ops run on contiguous memory.
 """
 
 from __future__ import annotations
@@ -128,22 +132,26 @@ def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray
     return flat[:size].reshape(shape)
 
 
-def _lstm_cell(A, c_prev, c, tanh_c, h, ig):
-    """One LSTM step in place on its gate block A = bias + x W_x + h_prev W_h.
+def _lstm_cell(Z, G, c_prev, c, tanh_c, h, ig):
+    """One LSTM step from its row-major gate block Z = bias + x W_x + h_prev W_h.
 
-    Activates A (tanh candidate, four-op sigmoid gates) and writes
-    c = c_prev*f + i*g, tanh_c = tanh(c) and h = o*tanh_c, with ig as scratch;
-    c may be c_prev and tanh_c may be h.
+    Reads Z (B, 4H) through its gate-major (4, B, H) view and writes the
+    activated gates [g; i; f; o] into the contiguous (4, B, H) block G (tanh
+    candidate, four-op sigmoid gates), leaving Z as it was. Only the first
+    op on each gate reads strided memory. Then writes c = c_prev*f + i*g,
+    tanh_c = tanh(c) and h = o*tanh_c, with ig as scratch; c may be c_prev
+    and tanh_c may be h.
     """
-    H = ig.shape[-1]
-    np.tanh(A[:, :H], out=A[:, :H])
-    s = A[:, H:]
-    np.negative(s, out=s)
+    B, H = ig.shape
+    Z = Z.reshape(B, 4, H).transpose(1, 0, 2)
+    np.tanh(Z[0], out=G[0])
+    s = G[1:]
+    np.negative(Z[1:], out=s)
     with np.errstate(over="ignore"):  # sigmoid saturates cleanly at 0
         np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
+    g, i, f, o = G
     np.multiply(c_prev, f, out=c)
     c += np.multiply(i, g, out=ig)
     np.tanh(c, out=tanh_c)
@@ -151,11 +159,12 @@ def _lstm_cell(A, c_prev, c, tanh_c, h, ig):
 
 
 def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
-    # Each timestep's input projection goes straight into its gate row, and
-    # _lstm_cell activates it in place and writes c, tanh(c) and h straight
-    # into their step rows. Given a store, every step's row is kept (the
-    # backprop cache) in buffers drawn from it; without one, one gate row and
-    # two alternating state rows suffice.
+    # Each timestep's gate products go into one row-major scratch block Z,
+    # and _lstm_cell writes the activated gates into their gate-major step
+    # block and c, tanh(c) and h straight into their step rows. Given a
+    # store, every step's block and rows are kept (the backprop cache) in
+    # buffers drawn from it; without one, one gate block and two alternating
+    # state rows suffice.
     keep = store is not None
     buffers = store if keep else {}
     dtype = params.W_lstm.dtype
@@ -166,9 +175,10 @@ def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
 
     X_tbf = _buffer(buffers, "X_tbf", (T, B, F), dtype)
     np.copyto(X_tbf, X.transpose(1, 0, 2), casting="unsafe")
-    GIFO = _buffer(buffers, "GIFO", (T if keep else 1, B, 4 * H), dtype)
+    G = _buffer(buffers, "G", (T if keep else 1, 4, B, H), dtype)
     rows = T if keep else 2
     C, Ct, Hout = (_buffer(buffers, name, (rows, B, H), dtype) for name in ("C", "Ct", "Hout"))
+    Z = _buffer(buffers, "Z", (B, 4 * H), dtype)
     hW = _buffer(buffers, "hW", (B, 4 * H), dtype)
     ig = _buffer(buffers, "ig", (B, H), dtype)
     h = c = _buffer(buffers, "zeros", (B, H), dtype)
@@ -182,19 +192,18 @@ def _run_lstm(params: NetworkParams, X: np.ndarray, store: dict | None = None):
         a2 = _buffer(buffers, "a2", (2, 4 * H), dtype)
 
     for t in range(T):
-        A = GIFO[t if keep else 0]
         if pad:
             x2[0] = X_tbf[t, 0]
             np.matmul(x2, W_x, out=a2)
-            np.add(a2[:1], bias, out=A)
+            np.add(a2[:1], bias, out=Z)
         else:
-            np.matmul(X_tbf[t], W_x, out=A)
-            A += bias
-        A += np.matmul(h, W_h, out=hW)
+            np.matmul(X_tbf[t], W_x, out=Z)
+            Z += bias
+        Z += np.matmul(h, W_h, out=hW)
         k = t % rows
-        _lstm_cell(A, c, C[k], Ct[k], Hout[k], ig)
+        _lstm_cell(Z, G[t if keep else 0], c, C[k], Ct[k], Hout[k], ig)
         c, h = C[k], Hout[k]
-    cache = {"X_tbf": X_tbf, "GIFO": GIFO, "C": C, "Ct": Ct, "Hout": Hout} if keep else None
+    cache = {"X_tbf": X_tbf, "G": G, "C": C, "Ct": Ct, "Hout": Hout} if keep else None
     return h, cache
 
 
@@ -282,8 +291,8 @@ def backward_batch(params: NetworkParams, cache: dict, dz3: np.ndarray) -> dict[
     dh = dz1 @ params.W1.T
 
     lstm = cache["lstm"]
-    X_tbf, GIFO, C, Ct, Hout = (
-        lstm["X_tbf"], lstm["GIFO"], lstm["C"], lstm["Ct"], lstm["Hout"],
+    X_tbf, G, C, Ct, Hout = (
+        lstm["X_tbf"], lstm["G"], lstm["C"], lstm["Ct"], lstm["Hout"],
     )
     T, B, F = X_tbf.shape
     H = params.hidden
@@ -293,6 +302,8 @@ def backward_batch(params: NetworkParams, cache: dict, dz3: np.ndarray) -> dict[
     d_bias, dW_x, dW_h = dW[0], dW[1 : 1 + F], dW[1 + F :]
     dc = np.zeros((B, H), dtype=dtype)
     dA = np.empty((B, 4 * H), dtype=dtype)
+    # each gate's gradient is written into its columns of the row-major dA
+    dA_g, dA_i, dA_f, dA_o = dA.reshape(B, 4, H).transpose(1, 0, 2)
     # The cell gradient decays multiplicatively over hundreds of steps; in
     # float32 it lands in the subnormal range, where x86 arithmetic is an
     # order of magnitude slower. Flushing negligible values keeps full speed.
@@ -301,18 +312,17 @@ def backward_batch(params: NetworkParams, cache: dict, dz3: np.ndarray) -> dict[
         if flush and t % 32 == 31:
             dc *= np.abs(dc) > 1e-30
             dh *= np.abs(dh) > 1e-30
-        A = GIFO[t]
-        g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
+        g, i, f, o = G[t]
         ct = Ct[t]
         do = ct * dh
         dc += (1.0 - ct * ct) * o * dh
-        dA[:, :H] = (1.0 - g * g) * (i * dc)
-        dA[:, H : 2 * H] = i * (1.0 - i) * (g * dc)
+        np.multiply(1.0 - g * g, i * dc, out=dA_g)
+        np.multiply(i * (1.0 - i), g * dc, out=dA_i)
         if t > 0:
-            dA[:, 2 * H : 3 * H] = f * (1.0 - f) * (C[t - 1] * dc)
+            np.multiply(f * (1.0 - f), C[t - 1] * dc, out=dA_f)
         else:
-            dA[:, 2 * H : 3 * H] = 0.0
-        dA[:, 3 * H :] = o * (1.0 - o) * do
+            dA_f.fill(0.0)
+        np.multiply(o * (1.0 - o), do, out=dA_o)
         d_bias += dA.sum(axis=0)
         dW_x += X_tbf[t].T @ dA
         if t > 0:

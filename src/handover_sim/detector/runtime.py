@@ -68,7 +68,8 @@ class ReleaseMonitor:
         # n-th of them lives in row n % slots, so the windows started so far
         # fill a prefix of the block.
         self._slots = slots = -(-window // period)
-        self._A = np.empty((max(slots, 2), 4 * H), dtype)
+        self._Z = np.empty((max(slots, 2), 4 * H), dtype)
+        self._G = np.empty(4 * max(slots, 2) * H, dtype)   # (4, n, H) gate blocks
         self._h, self._c, self._ig = (np.zeros((max(slots, 2), H), dtype) for _ in range(3))
         self._first = (1 - window) % period   # reading that starts window 0
         self._count = 0      # readings pushed
@@ -92,10 +93,10 @@ class ReleaseMonitor:
                 self._h[slot] = 0.0
                 self._c[slot] = 0.0
             n = max(2, min(slots, started))
-            A, c, h = self._A[:n], self._c[:n], self._h[:n]
-            np.matmul(h, self._W_h, out=A)
-            A += self._a2[0]
-            _lstm_cell(A, c, c, h, h, self._ig[:n])
+            Z, c, h, ig = self._Z[:n], self._c[:n], self._h[:n], self._ig[:n]
+            np.matmul(h, self._W_h, out=Z)
+            Z += self._a2[0]
+            _lstm_cell(Z, self._G[: 4 * ig.size].reshape(4, n, -1), c, c, h, h, ig)
         if j % period or self._count < self.window:
             return math.nan
         self._pair[0] = self._h[(j + 1 - self.window - first) // period % slots]

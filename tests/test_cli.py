@@ -340,6 +340,26 @@ def test_train_on_sequences_of_different_rates_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, short", [("validation", [0]), ("training", [1, 2, 3])])
+def test_train_without_windows_is_usage_error_before_training(tmp_path, capsys, monkeypatch, name, short):
+    # with the default --val-fraction the first of four sequences validates;
+    # cut to 300 readings, a sequence holds no 500-reading window
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--sequences", "4", "--seed", "2", "--out", str(data_dir)]) == EXIT_OK
+    files = sorted(data_dir.glob("seq_*.csv"))
+    for i in short:
+        lines = files[i].read_text().splitlines(keepends=True)
+        files[i].write_text("".join(lines[:301]))
+    trained = []
+    monkeypatch.setattr("handover_sim.cli.train", lambda *args: trained.append(args))
+    code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"), "--window", "500"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"no {name} windows" in err and "--window 500" in err
+    assert not trained
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_dataset(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "void"),
                  "--out", str(tmp_path / "o")]) == EXIT_RUNTIME

@@ -149,10 +149,94 @@ def test_forward_equals_reference_lstm(dtype, hidden, batch, steps, seed):
     X = np.random.default_rng(seed).normal(size=(batch, steps, 3)) * 2.0
     h_ref, ref = reference_lstm(net, X)
     y_hat, cache = forward_batch(net, X)
-    for key, arr in ref.items():
-        assert np.array_equal(cache["lstm"][key], arr), key
+    for key in ("X_tbf", "C", "Ct", "Hout"):
+        assert np.array_equal(cache["lstm"][key], ref[key]), key
+    # the same activated gates, cached gate-major
+    G_ref = ref["GIFO"].reshape(steps, batch, 4, hidden).transpose(0, 2, 1, 3)
+    assert np.array_equal(cache["lstm"]["G"], G_ref)
     assert np.array_equal(cache["head"][0], h_ref)
     assert np.array_equal(predict_batch(net, X), y_hat)
+
+
+def reference_backward(params, cache, dz3):
+    """The row-major allocating backward that the gate-major one replaced, as
+    an oracle. cache["lstm"] is reference_lstm's, with the row-major GIFO."""
+    dtype = params.W_lstm.dtype
+    dz3 = np.asarray(dz3, dtype=dtype)
+    h_last, a1, a2 = cache["head"]
+    grads = {}
+    grads["W3"] = a2.T @ dz3
+    grads["b3"] = dz3.sum(axis=0)
+    dz2 = (dz3 @ params.W3.T) * (a2 > 0.0)
+    grads["W2"] = a1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ params.W2.T) * (a1 > 0.0)
+    grads["W1"] = h_last.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    dh = dz1 @ params.W1.T
+
+    lstm = cache["lstm"]
+    X_tbf, GIFO, C, Ct, Hout = (
+        lstm["X_tbf"], lstm["GIFO"], lstm["C"], lstm["Ct"], lstm["Hout"],
+    )
+    T, B, F = X_tbf.shape
+    H = params.hidden
+    W_h = params.W_lstm[1 + F :]
+    W_h_T = np.ascontiguousarray(W_h.T)
+    dW = np.zeros_like(params.W_lstm)
+    d_bias, dW_x, dW_h = dW[0], dW[1 : 1 + F], dW[1 + F :]
+    dc = np.zeros((B, H), dtype=dtype)
+    dA = np.empty((B, 4 * H), dtype=dtype)
+    flush = dtype == np.float32
+    for t in range(T - 1, -1, -1):
+        if flush and t % 32 == 31:
+            dc *= np.abs(dc) > 1e-30
+            dh *= np.abs(dh) > 1e-30
+        A = GIFO[t]
+        g, i, f, o = A[:, :H], A[:, H : 2 * H], A[:, 2 * H : 3 * H], A[:, 3 * H :]
+        ct = Ct[t]
+        do = ct * dh
+        dc += (1.0 - ct * ct) * o * dh
+        dA[:, :H] = (1.0 - g * g) * (i * dc)
+        dA[:, H : 2 * H] = i * (1.0 - i) * (g * dc)
+        if t > 0:
+            dA[:, 2 * H : 3 * H] = f * (1.0 - f) * (C[t - 1] * dc)
+        else:
+            dA[:, 2 * H : 3 * H] = 0.0
+        dA[:, 3 * H :] = o * (1.0 - o) * do
+        d_bias += dA.sum(axis=0)
+        dW_x += X_tbf[t].T @ dA
+        if t > 0:
+            dW_h += Hout[t - 1].T @ dA
+        dc *= f
+        dh = dA @ W_h_T
+    grads["W_lstm"] = dW
+    return grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    hidden=st.integers(1, 8),
+    batch=st.integers(1, 6),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(dtype=np.float32, hidden=8, batch=1, steps=1, seed=0)
+@example(dtype=np.float32, hidden=5, batch=4, steps=70, seed=3)  # flushes at t = 63 and 31
+@example(dtype=np.float64, hidden=8, batch=1, steps=40, seed=4)  # a lone window
+def test_backward_equals_reference_backward(dtype, hidden, batch, steps, seed):
+    net = small_net(seed=seed, H=hidden).astype(dtype)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(batch, steps, 3)) * 2.0
+    dz3 = rng.normal(size=(batch, 2))
+    _, ref = reference_lstm(net, X)
+    _, cache = forward_batch(net, X)
+    grads = backward_batch(net, cache, dz3)
+    expected = reference_backward(net, {"head": cache["head"], "lstm": ref}, dz3)
+    assert grads.keys() == expected.keys()
+    for name, grad in expected.items():
+        assert grads[name].dtype == dtype and np.array_equal(grads[name], grad), name
 
 
 @settings(max_examples=60, deadline=None)
