@@ -31,6 +31,7 @@ from handover_sim.detector import (
 )
 from handover_sim.harness import (
     ARMS,
+    Scenario,
     evaluate_batch,
     make_batch_scenarios,
     run_handover,
@@ -41,6 +42,7 @@ from handover_sim.harness import (
 from conftest import build_corpus
 from test_acceptance import acceptance_scenario
 from test_detector_training import tiny_dataset
+from test_harness import quick_scenario
 
 WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "detector_weights.npz"
 WEIGHTS_SHA256 = "b91b88b017eb3858984a59ad7cb4f5b44fb88f674691473f76680c2571b31ac9"
@@ -68,6 +70,25 @@ CRITERION_8_DET_OUT = {
     5: "fe5e2d74c80de3775112b4f577bc8c0e34f9da9f4ef4fa487801ae55c528b7c3",  # 100 scores
     55: "fe9a54c562d476ca73a1a711e54e9d053b3da5d0fb6f86614f2df541f2e6c21d",  # 55 scores
 }
+
+# episode.csv digests of the event paths the episodes above do not take: a
+# release that never comes and ends at the deadline, a release with no
+# retreat plan, and the default threshold episode at other control rates
+EVENT_EPISODES = {
+    "failed_release": "723ea2a796d138f55770294e2d3ab4620c84910abb723aca57322e63ed05491c",
+    "no_retreat": "674afb18855168829be7ed0ec1bafeb6d3af1b240bc98e972c436f3ee6ba5a65",
+    "threshold_250hz": "c1c2aa7d11eed6cbab03a60cae52cae37e697a0ae81dc46071a1419e89271f94",
+    "threshold_1000hz": "796bcfa649bc66eff5e94c5e1209b23f782b52ab829252a5f7f81faf7bccdda0",
+}
+
+
+def event_scenario(name: str) -> Scenario:
+    if name == "failed_release":  # the load is buried in the sensor noise
+        return replace(quick_scenario(load_curve={"noise_sigma": 0.3}), object_mass=0.001)
+    if name == "no_retreat":
+        return quick_scenario(retreat_duration=0.0)
+    return Scenario(release="threshold", control_rate={"threshold_250hz": 250.0, "threshold_1000hz": 1000.0}[name])
+
 
 # evaluate_batch over criterion-8 scenarios 0 and 1, both arms
 BATCH_EPISODES = "944fe26dafadc878a50cd193af08109105c15f6b204768e5bc8f3239eb2af4c5"
@@ -147,6 +168,12 @@ def test_criterion_8_detector_score_digest(index, criterion_8_episode):
     log = criterion_8_episode(index, "proposed").log
     det_out = np.ascontiguousarray(log.data[:, log.columns.index("det_out")], dtype=np.float64)
     assert hashlib.sha256(det_out.tobytes()).hexdigest() == CRITERION_8_DET_OUT[index]
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_EPISODES))
+def test_event_episode_digest(name, tmp_path):
+    write_episode_csv(run_handover(event_scenario(name)), tmp_path / "episode.csv")
+    assert sha256(tmp_path / "episode.csv") == EVENT_EPISODES[name]
 
 
 def test_batch_csv_digests(network, criterion_8_scenarios, tmp_path):
