@@ -1,13 +1,14 @@
 """Scenario simulation of complete handover episodes.
 
-One episode runs the full controller stack at the control rate: advance the
-path parameter by the previous scaling factor, evaluate the plan's
-closed-form polynomial at it, map to Cartesian references, compute the
-compliant (or baseline PD) joint-velocity command, scale it through the
-safety optimization, and integrate the velocity-controlled plant. A
-scripted hand, a schedule-driven wrist sensor, and a release monitor close
-the loop; opening the gripper starts one retreat plan back to the grasp
-configuration, from the arm's current rate so that the reference stays C1.
+The episode engine has three parts. The episode state is built once from the
+scenario: the arm, a scripted hand, a schedule-driven wrist sensor trace, the
+approach plan and a release monitor. Each control cycle runs the events (the
+monitor may open the gripper, which starts one retreat plan back to the grasp
+configuration from the arm's current rate, and a passed deadline ends the
+episode) and then one numeric cycle: advance the path parameter by the
+previous scaling factor, evaluate the plan's closed-form polynomial at it,
+compute the compliant (or baseline PD) joint-velocity command, scale it
+through the safety optimization, log the row and integrate the plant.
 
 The plant is the ideal velocity integrator (commands are realized exactly at
 the control rate); the sensor trace is generated, not contact-simulated, and
@@ -194,7 +195,10 @@ class Scenario:
             "load_curve", LoadCurveParams, {"f_L0": self.object_mass * GRAVITY, **self.load_curve},
             **{key: getattr(self, top) for key, top in _CURVE_FROM_SCENARIO.items()},
         ))
-        self.episode_duration()  # rejects an engagement outside the episode
+        duration = self.episode_duration()  # rejects an engagement outside the episode
+        if duration * self.control_rate <= 0.5:  # round(duration * rate) < 1: not one control cycle
+            raise ValueError(f"episode of {duration:g} s (transfer schedule end + release_timeout + retreat_duration"
+                             f" + episode_tail) holds no control cycle of {1.0 / self.control_rate:g} s")
 
     def curve_params(self) -> LoadCurveParams:
         """Episode load-curve parameters (scenario fields plus overrides)."""
@@ -324,7 +328,7 @@ def position_ik(model: ManipulatorModel, target: np.ndarray, q0: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# episode loop
+# episode engine: the episode state, one numeric cycle, and the events
 
 LOG_COLUMNS = (
     ["t"]
@@ -337,140 +341,104 @@ LOG_COLUMNS = (
 )
 
 
-def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> EpisodeResult:
-    """Simulate one episode; deterministic for a fixed scenario."""
-    if scenario.release == "network" and network is None:
-        raise ValueError("release='network' requires trained network weights")
-    model = default_manipulator(payload_mass=scenario.object_mass)
-    n = model.joint_count
-    T_r = 1.0 / scenario.control_rate
-    safety_params = scenario.safety_params
-    adm_params = scenario.admittance_params
-    kp, kd = scenario.pd_kp, scenario.pd_kd
-    pfl = pfl_limit(safety_params, apparent_mass(model))
+class _Episode:
+    """One episode's state, built once from the scenario, and its log.
 
-    curve = scenario.curve_params()
-    duration = scenario.episode_duration()
-    max_cycles = int(round(duration * scenario.control_rate))
-    # The wrist sensor reads the generated transfer curve (load, disturbances,
-    # noise) while the gripper holds the object, and only its noise after
-    # opening; fraction is the ground truth of the transferred load.
-    trace = generate_handover_sequence(curve, duration + T_r, scenario.control_rate)
-    hand_pos, hand_vel = _hand_path(scenario, max_cycles, T_r)
+    The wrist sensor reads ``trace.wrench`` (load, disturbances, noise) while the
+    gripper holds and ``trace.noise`` after; ``trace.fraction`` is the ground
+    truth. Per-cycle values (q, command, alpha, plan, path) stay in run_handover.
+    """
 
-    grasp_q = np.asarray(scenario.grasp_q, dtype=float)
-    end_q = position_ik(model, scenario.handover_hand_pose, grasp_q)
+    def __init__(self, scenario: Scenario, network: NetworkParams | None) -> None:
+        if scenario.release == "network" and network is None:
+            raise ValueError("release='network' requires trained network weights")
+        self.scenario = scenario
+        self.model = model = default_manipulator(payload_mass=scenario.object_mass)
+        rate = scenario.control_rate
+        self.T_r = T_r = 1.0 / rate
+        self.pfl = pfl_limit(scenario.safety_params, apparent_mass(model))
+        curve = scenario.curve_params()
+        duration = scenario.episode_duration()
+        self.deadline = curve.schedule_end + scenario.release_timeout
+        self.max_cycles = round(duration * rate)  # at least one: Scenario refuses fewer
+        self.trace = generate_handover_sequence(curve, duration + T_r, rate)
+        self.hand_pos, self.hand_vel = _hand_path(scenario, self.max_cycles, T_r)
+        self.grasp_q = grasp_q = np.asarray(scenario.grasp_q, dtype=float)
+        end_q = position_ik(model, scenario.handover_hand_pose, grasp_q)
+        poly, T = plan_quintic(grasp_q, end_q, limit_respecting_duration(model, end_q - grasp_q, scenario.plan_duration))
+        self.approach = fit_cubic_spline(poly, T), PathParameter(s=0.0, s_dot=1.0, t_final=T)
+        self.monitor = ReleaseMonitor(network) if scenario.release == "network" else ThresholdReleaseMonitor(rate)
+        self.admittance = scenario.controller == "admittance"
+        self.ref_s, self.ref_segment = math.nan, None     # what the cached reference was sampled at
+        self.q_pair = np.empty((2, model.joint_count))   # (q_des, q): both chains in one FK call
+        self.data = np.empty((self.max_cycles, len(LOG_COLUMNS)))
+        self.binding: list[str] = []
+        self.cycle_times = np.empty(self.max_cycles)
+        self.violations = 0
 
-    def follow(poly: np.ndarray, T: float):
-        """Differentiate a planned polynomial and start the timing law at its head."""
-        return fit_cubic_spline(poly, T), PathParameter(s=0.0, s_dot=1.0, t_final=T)
+    def release(self, t: float, q: np.ndarray, q_dot: np.ndarray, segment, path) -> tuple:
+        """Open the gripper at t; the plan and timing law to follow, and the episode's end time.
 
-    plan_T = limit_respecting_duration(model, end_q - grasp_q, scenario.plan_duration)
-    segment, path = follow(*plan_quintic(grasp_q, end_q, plan_T))
+        The one retreat leaves at the arm's rate when it moves (so the reference stays C1) and rests at grasp_q.
+        """
+        sc = self.scenario
+        stop_T = retreat_T = 0.0
+        if sc.retreat_duration > 0.0:
+            retreat_T = limit_respecting_duration(self.model, self.grasp_q - q, sc.retreat_duration)
+            start_rate = q_dot if float(np.max(np.abs(q_dot))) > 0.05 else None
+            if start_rate is not None:
+                stop_T = braking_duration(self.model, start_rate, sc.control_rate)
+            poly, T = plan_quintic(q, self.grasp_q, stop_T + retreat_T, start_rate)
+            segment, path = fit_cubic_spline(poly, T), PathParameter(s=0.0, s_dot=1.0, t_final=T)
+        return segment, path, t + stop_T + retreat_T + sc.episode_tail
 
-    if scenario.release == "network":
-        monitor: ReleaseMonitor | ThresholdReleaseMonitor = ReleaseMonitor(network)
-    else:
-        monitor = ThresholdReleaseMonitor(scenario.control_rate)
+    def cycle(self, k: int, q: np.ndarray, q_dot: np.ndarray, raw: np.ndarray, det_out: float,
+              released: bool, path: PathParameter, segment) -> tuple[float, np.ndarray]:
+        """Reference, controller, safety scaling and log row of cycle k; the scaling factor and command.
 
-    q = grasp_q.copy()
-    q_dot_meas = np.zeros(n)
-    alpha = 1.0
-    gripper_open = False
-    release_time = math.nan
-    release_fraction = math.nan
-    deadline = curve.schedule_end + scenario.release_timeout
-    end_time = duration
-    admittance = scenario.controller == "admittance"
-    # The reference is resampled only when the path parameter or the segment
-    # changes; while the timing law holds still (alpha = 0, or s at the end of
-    # the plan) the previous cycle's reference is exact. The PD baseline
-    # tracks joint references and never needs their Cartesian image.
-    ref_s = math.nan
-    ref_segment = None
-    q_pair = np.empty((2, n))        # (q_des, q): both chains in one FK call
-
-    data = np.empty((max_cycles, len(LOG_COLUMNS)))
-    binding_log: list[str] = []
-    cycle_times = np.empty(max_cycles)
-    violations = 0
-    infeasible = 0
-    k = 0
-
-    while k < max_cycles:
-        t = k * T_r
-        if t >= end_time:
-            break
-        tic = time.perf_counter()
-
-        human = HumanState(hand_pos[k], hand_vel[k])
-        raw = trace.noise[k] if gripper_open else trace.wrench[k]
-
-        det_out = math.nan
-        if not gripper_open:
-            decision = monitor.step(raw)
-            det_out = monitor.output
-            if decision == RELEASE:
-                gripper_open = True
-                release_time = t
-                release_fraction = float(trace.fraction[k])
-                stop_T = retreat_T = 0.0
-                if scenario.retreat_duration > 0.0:
-                    retreat_T = limit_respecting_duration(model, grasp_q - q, scenario.retreat_duration)
-                    start_rate = q_dot_meas if float(np.max(np.abs(q_dot_meas))) > 0.05 else None
-                    if start_rate is not None:  # leave at the arm's rate and brake in the plan: C1 from the start
-                        stop_T = braking_duration(model, start_rate, scenario.control_rate)
-                    segment, path = follow(*plan_quintic(q, grasp_q, stop_T + retreat_T, start_rate))
-                end_time = min(end_time, t + stop_T + retreat_T + scenario.episode_tail)
-            elif t > deadline:
-                end_time = t  # receiver gave up waiting; episode is a failed release
-        # advance the timing law with the previous cycle's scaling factor
-        path = advance_parameter(path, alpha, T_r)
-        ref_moved = path.s != ref_s or segment is not ref_segment
-        if ref_moved:
-            q_des, qd_des, qdd_des = sample_spline(segment, path.s)
-            ref_s, ref_segment = path.s, segment
-
-        if admittance:
-            if ref_moved:
-                # reference and current configuration share one FK call
-                q_pair[0] = q_des
-                q_pair[1] = q
-                pair = chain_frames(model, q_pair)
-                J_ref, J_cur = jacobian_from_frames(model, pair)
-                ref_frames, cur_frames = pair.entry(0), pair.entry(1)
-                x_des = pose_from_frames(model, ref_frames)
-                Jd_ref = jacobian_dot_from_frames(model, ref_frames, qd_des)
-                x_dot_des = J_ref @ qd_des
-                x_ddot_des = J_ref @ qdd_des + Jd_ref @ qd_des
-            else:
-                cur_frames = chain_frames(model, q)
-                J_cur = jacobian_from_frames(model, cur_frames)
-            x_cur = pose_from_frames(model, cur_frames)
-            x_dot = J_cur @ q_dot_meas
-            wrench = transform_wrench(x_cur.rotation, raw, adm_params.force_weight)
-            x_ddot_adm = admittance_accel(adm_params, x_des, x_dot_des, x_ddot_des, x_cur, x_dot, wrench)
-            x_dot_adm = integrate_velocity(x_ddot_adm, x_dot, T_r)
-            qd_adm = damped_pinv(J_cur, PINV_DAMPING) @ x_dot_adm
+        The reference is resampled only when s or the segment moved (alpha = 0, or s at a plan's end, keeps
+        it exact); the PD baseline tracks joint references and never needs their Cartesian image.
+        """
+        model, T_r, sc = self.model, self.T_r, self.scenario
+        moved = path.s != self.ref_s or segment is not self.ref_segment
+        if moved:
+            self.joint_ref = sample_spline(segment, path.s)
+            self.ref_s, self.ref_segment = path.s, segment
+        q_des, qd_des, qdd_des = self.joint_ref
+        # the current configuration's frames; a moved admittance reference shares their FK call
+        if moved and self.admittance:
+            self.q_pair[0] = q_des
+            self.q_pair[1] = q
+            pair = chain_frames(model, self.q_pair)
+            J_ref, J_cur = jacobian_from_frames(model, pair)
+            ref_frames, frames = pair.entry(0), pair.entry(1)
+            Jd_ref = jacobian_dot_from_frames(model, ref_frames, qd_des)
+            self.cart_ref = (pose_from_frames(model, ref_frames), J_ref @ qd_des, J_ref @ qdd_des + Jd_ref @ qd_des)
         else:
-            cur_frames = chain_frames(model, q)
-            x_cur = pose_from_frames(model, cur_frames)
-            qd_adm = pd_controller(q_des, qd_des, q, q_dot_meas, kp, kd)
+            frames = chain_frames(model, q)
+            if self.admittance:
+                J_cur = jacobian_from_frames(model, frames)
+        x_cur = pose_from_frames(model, frames)
+        if self.admittance:
+            x_dot = J_cur @ q_dot
+            wrench = transform_wrench(x_cur.rotation, raw, sc.admittance_params.force_weight)
+            x_ddot_adm = admittance_accel(sc.admittance_params, *self.cart_ref, x_cur, x_dot, wrench)
+            command = damped_pinv(J_cur, PINV_DAMPING) @ integrate_velocity(x_ddot_adm, x_dot, T_r)
+        else:
+            command = pd_controller(q_des, qd_des, q, q_dot, sc.pd_kp, sc.pd_kd)
 
-        lc = link_constraints(cur_frames, human, safety_params, T_r, pfl)
-        result = optimal_alpha(qd_adm, q_dot_meas, lc.rows, lc.v_max, model.q_dot_max, model.q_ddot_max, T_r)
+        lc = link_constraints(frames, HumanState(self.hand_pos[k], self.hand_vel[k]), sc.safety_params, T_r, self.pfl)
+        result = optimal_alpha(command, q_dot, lc.rows, lc.v_max, model.q_dot_max, model.q_ddot_max, T_r)
         alpha = result.alpha
-        u = alpha * qd_adm
+        u = alpha * command
         directed = lc.rows @ u
         if (directed > lc.v_max + SPEED_TOLERANCE).any():
-            violations += 1
-        if not result.feasible:
-            infeasible += 1
+            self.violations += 1
 
-        row = data[k]
-        row[0] = t
+        row = self.data[k]
+        row[0] = k * T_r
         row[1:7] = q
-        row[7:13] = q_dot_meas
+        row[7:13] = q_dot
         row[13:19] = u
         row[19:22] = x_cur.position
         row[22:28] = raw
@@ -482,41 +450,71 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
         row[33] = lc.v_max.min()
         row[34] = directed.max()
         row[35] = det_out
-        row[36] = 1.0 if gripper_open else 0.0
+        row[36] = 1.0 if released else 0.0
         row[37] = 1.0 if result.feasible else 0.0
-        binding_log.append(result.binding_constraint)
+        self.binding.append(result.binding_constraint)
+        return alpha, u
 
+    def result(self, release_k: int | None) -> EpisodeResult:
+        """The logged cycles and their metrics; release_k is the cycle that opened the gripper."""
+        cycles = len(self.binding)
+        data, times = self.data[:cycles], self.cycle_times[:cycles]
+        if release_k is None:
+            outcome, release_time, release_fraction = FAILED_RELEASE, math.nan, math.nan
+        else:
+            release_time, release_fraction = release_k * self.T_r, float(self.trace.fraction[release_k])
+            outcome = PREMATURE_DROP if release_fraction < PREMATURE_FRACTION else SUCCESS
+        metrics = EpisodeMetrics(
+            outcome=outcome,
+            release_time=release_time,
+            release_fraction=release_fraction,
+            min_separation=float(np.min(data[:, 30])),
+            max_directed_speed=float(np.max(data[:, 34])),
+            safety_violations=self.violations,
+            infeasible_cycles=int(np.count_nonzero(data[:, 37] == 0.0)),
+            cycles=cycles,
+            cycle_time_mean=float(np.mean(times)),
+            cycle_time_max=float(np.max(times)),
+            cycle_time_p99=float(np.percentile(times, 99)),
+            deadline_misses=int(np.count_nonzero(times > self.T_r)),
+        )
+        log = EpisodeLog(columns=list(LOG_COLUMNS), data=data, binding=self.binding)
+        return EpisodeResult(scenario=self.scenario, metrics=metrics, log=log)
+
+
+def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> EpisodeResult:
+    """Simulate one episode; deterministic for a fixed scenario.
+
+    Each cycle runs the events (a monitor step that may open the gripper, the
+    deadline that may end the episode), advances the timing law by the previous
+    cycle's scaling factor, runs the numeric cycle and integrates the plant.
+    """
+    episode = _Episode(scenario, network)
+    T_r, trace, monitor, cycle_times = episode.T_r, episode.trace, episode.monitor, episode.cycle_times
+    q, q_dot, alpha = episode.grasp_q, np.zeros_like(episode.grasp_q), 1.0
+    segment, path = episode.approach
+    end_time, release_k = math.inf, None   # max_cycles ends the episode before its duration
+    for k in range(episode.max_cycles):
+        t = k * T_r
+        if t >= end_time:
+            break
+        tic = time.perf_counter()
+        if release_k is None:
+            raw = trace.wrench[k]
+            if monitor.step(raw) == RELEASE:
+                release_k = k
+                segment, path, end_time = episode.release(t, q, q_dot, segment, path)
+            elif t > episode.deadline:
+                end_time = t  # the receiver gave up waiting: this cycle is the last
+            det_out = monitor.output
+        else:
+            raw, det_out = trace.noise[k], math.nan
+        path = advance_parameter(path, alpha, T_r)
+        alpha, u = episode.cycle(k, q, q_dot, raw, det_out, release_k is not None, path, segment)
         q = q + u * T_r
-        q_dot_meas = u
+        q_dot = u
         cycle_times[k] = time.perf_counter() - tic
-        k += 1
-
-    data = data[:k]
-    cycle_times = cycle_times[:k]
-    if math.isnan(release_time):
-        outcome = FAILED_RELEASE
-    elif release_fraction < PREMATURE_FRACTION:
-        outcome = PREMATURE_DROP
-    else:
-        outcome = SUCCESS
-
-    sep_col = data[:, 30]
-    metrics = EpisodeMetrics(
-        outcome=outcome,
-        release_time=release_time,
-        release_fraction=release_fraction,
-        min_separation=float(np.min(sep_col)) if k else math.nan,
-        max_directed_speed=float(np.max(data[:, 34])) if k else math.nan,
-        safety_violations=violations,
-        infeasible_cycles=infeasible,
-        cycles=k,
-        cycle_time_mean=float(np.mean(cycle_times)) if k else math.nan,
-        cycle_time_max=float(np.max(cycle_times)) if k else math.nan,
-        cycle_time_p99=float(np.percentile(cycle_times, 99)) if k else math.nan,
-        deadline_misses=int(np.count_nonzero(cycle_times > T_r)),
-    )
-    log = EpisodeLog(columns=list(LOG_COLUMNS), data=data, binding=binding_log)
-    return EpisodeResult(scenario=scenario, metrics=metrics, log=log)
+    return episode.result(release_k)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,9 @@ def test_invalid_nested_scenario_value_is_usage_error(tmp_path, capsys, command,
     ("load_curve.seed=9", "seed"),
     ("load_curve.engagement_time=3", "receiver_engagement_time"),
     ("load_curve.disturbance_events=[[1,2,0.1]]", "disturbances"),
+    # an episode that rounds to no control cycle
+    ("receiver_engagement_time=-20", "no control cycle"),
+    ("receiver_engagement_time=-1.2 release_timeout=0.5 retreat_duration=0 episode_tail=0.0004", "no control cycle"),
 ])
 def test_invalid_top_level_scenario_value_is_usage_error(tmp_path, capsys, command, overrides, name):
     # top-level values are checked where the scenario is built, before any episode runs

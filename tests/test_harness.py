@@ -489,6 +489,16 @@ def test_scenario_builds_episode_parameters_once(monkeypatch):
             Scenario(**{name: values})
     with pytest.raises(ValueError, match="engagement"):
         Scenario(load_curve={"dwell_after_transfer": -5.0})
+    # an episode that rounds to no control cycle: round(duration * rate) < 1
+    with pytest.raises(ValueError, match="no control cycle"):
+        Scenario(receiver_engagement_time=-20.0)
+    short = dict(receiver_engagement_time=-1.2, release_timeout=0.5, retreat_duration=0.0)
+    with pytest.raises(ValueError, match="no control cycle of 0.002 s"):
+        Scenario(**short, episode_tail=0.0004)
+    with pytest.raises(ValueError, match="no control cycle"):
+        Scenario(**short, episode_tail=0.001, control_rate=499.99)
+    one = Scenario(**short, episode_tail=0.0011, release="threshold")
+    assert run_handover(one).metrics.cycles == 1
     # an episode only reads what the scenario built
     sc = quick_scenario()
     for name in ("SafetyParams", "AdmittanceParams", "LoadCurveParams"):

@@ -1,10 +1,12 @@
-"""The benchmark's tracer wraps only names that the package modules define.
+"""The benchmark's hooks still see the calls they time.
 
 perfbench/bench.py installs span wrappers on (owner, attribute) pairs such as
-``handover_sim.harness.transform_wrench``, the name the harness looks up. A
-refactor that drops one of those imports breaks only the benchmark, whose own
-tests are not part of this suite; this test reads the target lists and
-changes nothing under perfbench/.
+``handover_sim.harness.transform_wrench``, the name the harness looks up, and
+times a control cycle as the interval between two calls of
+``harness.advance_parameter``. A refactor that drops one of those imports,
+stops calling a traced name through it, or calls ``advance_parameter`` other
+than once per cycle breaks only the benchmark, whose own tests are not part
+of this suite. These tests read perfbench/ and change nothing under it.
 """
 
 import importlib
@@ -12,6 +14,12 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from handover_sim import harness
+from handover_sim.detector import load_weights
+from handover_sim.trajectory import PathParameter
+
+from test_harness import quick_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,3 +39,34 @@ def test_traced_names_are_defined_on_their_owner(bench, targets):
     assert pairs
     missing = [label for owner, attr, label in pairs if attr not in owner.__dict__]
     assert not missing, f"traced names missing from their owner: {missing}"
+
+
+@pytest.fixture(scope="module")
+def episodes():
+    """One threshold and one network episode, short and at 500 Hz."""
+    network = load_weights(PERFBENCH / "detector_weights.npz")[0]
+    return [(quick_scenario(), None), (quick_scenario(release="network"), network)]
+
+
+def test_advance_parameter_runs_once_per_cycle(bench, episodes):
+    for scenario, network in episodes:
+        with bench.call_marks(harness, "advance_parameter") as marks:
+            result = harness.run_handover(scenario, network=network)
+        assert len(marks) == result.metrics.cycles
+
+
+def test_every_traced_name_is_called(bench, episodes):
+    tracer = bench.Tracer()
+    with tracer.installed(bench._closed_loop_targets()):
+        for scenario, network in episodes:
+            harness.run_handover(scenario, network=network)
+    spans = tracer.spans()
+    silent = [name for i, name in enumerate(spans.names) if not (spans.name == i).any()]
+    assert len(spans.names) == len(bench._closed_loop_targets())
+    assert not silent, f"traced names never called: {silent}"
+
+
+def test_hook_overhead_call_signature():
+    # bench.hook_overhead_us builds and calls exactly this
+    p = harness.advance_parameter(PathParameter(s=0.0, s_dot=1.0, t_final=1e9), 1.0, 0.002)
+    assert p.s == 0.002
