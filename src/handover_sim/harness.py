@@ -493,7 +493,7 @@ def run_handover(scenario: Scenario, network: NetworkParams | None = None) -> Ep
     T_r, trace, monitor, cycle_times = episode.T_r, episode.trace, episode.monitor, episode.cycle_times
     q, q_dot, alpha = episode.grasp_q, np.zeros_like(episode.grasp_q), 1.0
     segment, path = episode.approach
-    end_time, release_k = math.inf, None   # max_cycles ends the episode before its duration
+    end_time, release_k = math.inf, None   # until an event sets an end, max_cycles is the end
     for k in range(episode.max_cycles):
         t = k * T_r
         if t >= end_time:
