@@ -431,8 +431,8 @@ class _Episode:
         result = optimal_alpha(command, q_dot, lc.rows, lc.v_max, model.q_dot_max, model.q_ddot_max, T_r)
         alpha = result.alpha
         u = alpha * command
-        directed = lc.rows @ u
-        if (directed > lc.v_max + SPEED_TOLERANCE).any():
+        directed, v_max = (lc.rows @ u).tolist(), lc.v_max.tolist()
+        if any(d > v + SPEED_TOLERANCE for d, v in zip(directed, v_max)):
             self.violations += 1
 
         row = self.data[k]
@@ -442,16 +442,8 @@ class _Episode:
         row[13:19] = u
         row[19:22] = x_cur.position
         row[22:28] = raw
-        row[28] = path.s
-        row[29] = alpha
-        row[30] = lc.separation.min()
-        row[31] = lc.ssm.min()
-        row[32] = lc.pfl
-        row[33] = lc.v_max.min()
-        row[34] = directed.max()
-        row[35] = det_out
-        row[36] = 1.0 if released else 0.0
-        row[37] = 1.0 if result.feasible else 0.0
+        row[28:38] = (path.s, alpha, min(lc.separation.tolist()), min(lc.ssm.tolist()), lc.pfl, min(v_max),
+                      max(directed), det_out, float(released), float(result.feasible))
         self.binding.append(result.binding_constraint)
         return alpha, u
 

@@ -11,7 +11,8 @@ the largest scaling factor alpha in [0, 1] that satisfies
     |q_dot_adm alpha - q_dot| / T_r <= q_ddot_max
 
 Because alpha is scalar, the linear program reduces to an exact interval
-intersection, solved here in closed form.
+intersection, solved here in closed form by one pass over the constraint
+rows; the first row wins a tie.
 """
 
 from __future__ import annotations
@@ -127,17 +128,6 @@ def pfl_limit(params: SafetyParams, m_r: float) -> float:
     return force_cap / math.sqrt(mu * params.k_spring)
 
 
-_TAGS = ("iso-limit", "joint-velocity", "joint-acceleration")
-
-
-@functools.lru_cache(maxsize=None)
-def _tag_index(links: int, joints: int) -> np.ndarray:
-    """_TAGS index of each constraint row, in optimal_alpha's stacking order."""
-    tags = np.repeat([0, 1, 2], [links, 2 * joints, 2 * joints])
-    tags.flags.writeable = False
-    return tags
-
-
 def optimal_alpha(
     q_dot_adm: np.ndarray,
     q_dot_current: np.ndarray,
@@ -149,52 +139,52 @@ def optimal_alpha(
 ) -> ScalingResult:
     """Largest scaling factor in [0, 1] satisfying all per-cycle constraints.
 
-    Every constraint has the form coeff * alpha <= bound and so contributes
-    an upper (coeff > 0) or lower (coeff < 0) bound on alpha; the result is
-    the top of the intersected interval. If the interval is empty (the arm
+    Every constraint has the form coeff * alpha <= bound and so bounds alpha
+    by bound / coeff, from above (coeff > 0) or below (coeff < 0); the result
+    is the top of the intersected interval. One pass over the rows in Python
+    floats, stacked as link rows, velocity box (+u, -u) and acceleration box
+    (+u, -u), keeps the tightest bound of each side; the first row wins a tie
+    and names the binding constraint. If the interval is empty (the arm
     cannot brake hard enough within one cycle), the result saturates to the
-    closest value satisfying the lower bounds and is flagged infeasible.
+    closest value satisfying the lower bounds, kept inside the velocity box,
+    and is flagged infeasible.
 
-    A NaN constraint is a ValueError: arg-min/max would pick it and no
-    comparison with it holds, so it would drop out of the interval unseen.
+    A NaN constraint is a ValueError: no comparison with it holds, so it
+    would drop out of the interval unseen.
     """
-    q_dot_adm = np.asarray(q_dot_adm, dtype=float).ravel()
-    q_dot_current = np.asarray(q_dot_current, dtype=float).ravel()
-    rows = np.atleast_2d(np.asarray(per_link_rows, dtype=float))
-    v_max = np.asarray(v_max_per_link, dtype=float).ravel()
-    rate_step = T_r * np.asarray(q_ddot_max, dtype=float)
-
-    neg_adm = -q_dot_adm
-    coeff = np.concatenate((rows @ q_dot_adm, q_dot_adm, neg_adm, q_dot_adm, neg_adm))
-    bound = np.concatenate((v_max, q_dot_max, q_dot_max, q_dot_current + rate_step, -(q_dot_current - rate_step)))
-    n = len(q_dot_adm)
-    m = len(v_max)
-    tags = _tag_index(m, n)
-    if np.isnan(coeff).any() or np.isnan(bound).any():
+    u = np.asarray(q_dot_adm, dtype=float).ravel()
+    link = (np.atleast_2d(np.asarray(per_link_rows, dtype=float)) @ u).tolist()
+    v_max = np.asarray(v_max_per_link, dtype=float).ravel().tolist()
+    both = u.tolist()                                   # the +u rows, then the -u rows
+    both += [-c for c in both]
+    speed = np.asarray(q_dot_max, dtype=float).tolist() * 2
+    now = np.asarray(q_dot_current, dtype=float).ravel().tolist()
+    step = (T_r * np.asarray(q_ddot_max, dtype=float)).tolist()
+    accel = [c + s for c, s in zip(now, step)] + [-(c - s) for c, s in zip(now, step)]
+    # a NaN bound would move nothing below; the sum finds one (inf - inf too, which the scan then clears)
+    if math.isnan(sum(v_max) + sum(speed) + sum(accel)) and any(b != b for b in v_max + speed + accel):
         raise ValueError("scaling constraints must not be NaN")
 
-    pos = coeff > _EPS
-    neg = coeff < -_EPS
-    hard_infeasible = bool((bound[~(pos | neg)] < -_EPS).any())
-
-    # Per-row bounds on alpha; rows that bound it from the other side (or not
-    # at all) are +-inf, so arg-min/max pick the same row as over the subset.
-    ubs = np.divide(bound, coeff, out=np.full(len(coeff), np.inf), where=pos)
-    lbs = np.divide(bound, coeff, out=np.full(len(coeff), -np.inf), where=neg)
-    lo, lo_tag, hi, hi_tag = 0.0, "box", 1.0, "box"
-    k = int(ubs.argmin())
-    if ubs[k] < hi:
-        hi, hi_tag = float(ubs[k]), _TAGS[tags[k]]
-    # the velocity box is a hard limit even when infeasible
-    hi_actuator = min(1.0, float(ubs[m : m + 2 * n].min()))
-    k = int(lbs.argmax())
-    if lbs[k] > lo:
-        lo, lo_tag = float(lbs[k]), _TAGS[tags[k]]
+    lo, lo_tag, hi, hi_tag, hard_infeasible = 0.0, "box", 1.0, "box", False
+    for tag, coeffs, bounds in (("iso-limit", link, v_max), ("joint-velocity", both, speed),
+                                ("joint-acceleration", both, accel)):
+        for c, b in zip(coeffs, bounds, strict=True):
+            if c > _EPS:
+                if (r := b / c) < hi:
+                    hi, hi_tag = r, tag
+            elif c < -_EPS:
+                if (r := b / c) > lo:
+                    lo, lo_tag = r, tag
+            elif c != c:
+                raise ValueError("scaling constraints must not be NaN")
+            elif b < -_EPS:
+                hard_infeasible = True
 
     if not hard_infeasible and lo <= hi + 1e-12:
         return ScalingResult(alpha=min(max(hi, 0.0), 1.0), binding_constraint=hi_tag, feasible=True)
-    alpha = min(max(lo, 0.0), hi_actuator)
-    return ScalingResult(alpha=alpha, binding_constraint=lo_tag, feasible=False)
+    # the velocity box is a hard limit even when infeasible
+    hi_actuator = min([1.0] + [b / c for c, b in zip(both, speed) if c > _EPS])
+    return ScalingResult(alpha=min(max(lo, 0.0), hi_actuator), binding_constraint=lo_tag, feasible=False)
 
 
 class LinkConstraints(NamedTuple):
