@@ -36,8 +36,9 @@ def test_parse_result_reads_the_last_json_line(bench_pairs):
     line = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"setup_s": {"value": 0.5, "unit": "s"}}}
     stdout = "# closed_loop_baseline setup_s = 0.5 s\n# info {\"seed\": 0}\n" + json.dumps(line) + "\n\n"
     assert bench_pairs.parse_result(stdout) == line
-    with pytest.raises(ValueError):
-        bench_pairs.parse_result("\n")
+    for stdout in ("\n", "Traceback\n", "[1, 2]\n", '{"metrics": {}}\n'):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_result(stdout)
 
 
 def test_medians_wins_and_parent_iqr(bench_pairs):
@@ -138,3 +139,43 @@ def test_a_run_that_exits_nonzero_keeps_the_finished_pairs(bench_pairs, tmp_path
     assert "second, 3 finished pairs of 30 s" in out
     assert out.count("step_ms_p50") == 2 + 9              # a table row per workload, a line per finished run
     assert "refused" not in out
+
+
+@pytest.mark.parametrize("stdout", ["", "\n\n", "# closed_loop_baseline setup_s = 0.5 s\n", "{\"truncated\": \n"])
+def test_a_malformed_run_keeps_the_finished_pairs(bench_pairs, tmp_path, monkeypatch, capsys, stdout):
+    spec = {"run_seconds": 30, "end_to_end": [LOWER], "workloads": [{"name": "first"}, {"name": "second"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        workload = cmd[cmd.index("--workload") + 1]
+        calls.append(workload)
+        # the first workload's 4th run (pair 2, parent side) exits 0 without a result line
+        out = stdout if workload == "first" and calls.count("first") == 4 else json.dumps(results([1.0])[0]) + "\n"
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code = bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert calls == ["first"] * 4 + ["second"] * 6
+    assert "pair 2/3 parent: perfbench/run.py malformed output: " in out
+    assert "first, 1 finished pairs of 30 s" in out
+    assert "second, 3 finished pairs of 30 s" in out
+
+
+def test_a_nonzero_exit_prints_the_end_of_stderr(bench_pairs, tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 30, "end_to_end": [LOWER], "workloads": [{"name": "first"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    stderr = "".join(f"frame {i}\n" for i in range(8)) + "ValueError: boom\n"
+
+    def fake_run(cmd, cwd, **kwargs):
+        return bench_pairs.subprocess.CompletedProcess(cmd, 2, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    lines = stderr.splitlines()[-bench_pairs.STDERR_LINES:]
+    assert "pair 1/2 parent: perfbench/run.py exited with code 2\n" + "".join(f"    {line}\n" for line in lines) in out
+    assert "frame 3" not in out
+    assert "first, 0 finished pairs of 30 s" in out

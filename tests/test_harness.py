@@ -30,7 +30,7 @@ from handover_sim.harness import (
 )
 from handover_sim.config import default_manipulator
 from handover_sim.kinematics import chain_frames
-from handover_sim.safety import HumanState, SafetyParams, apparent_mass, link_constraints, pfl_limit
+from handover_sim.safety import HumanState, SafetyParams, ScalingResult, apparent_mass, link_constraints, pfl_limit
 from handover_sim.trajectory import (
     braking_duration,
     fit_cubic_spline,
@@ -322,6 +322,87 @@ def test_hand_near_path_respects_contact_floor():
         lc = link_constraints(frames, HumanState(hand, np.zeros(3)), params, 1.0 / sc.control_rate, pfl)
         directed = lc.rows @ data[k, u_cols]
         assert np.all(directed <= lc.v_max + 1e-6)
+
+
+def violating_cycles(res) -> np.ndarray:
+    """Cycles where some link's directed speed under the logged command exceeds
+    its limit, recounted by link_constraints from the logged q, u and the hand path."""
+    sc, data, cols = res.scenario, res.log.data, res.log.columns
+    model = default_manipulator(payload_mass=sc.object_mass)
+    pfl = pfl_limit(sc.safety_params, apparent_mass(model))
+    T_r = 1.0 / sc.control_rate
+    hand_pos, hand_vel = _hand_path(sc, len(data), T_r)
+    q = data[:, [cols.index(f"q{i}") for i in range(6)]]
+    u = data[:, [cols.index(f"u{i}") for i in range(6)]]
+    over = []
+    for k in range(len(data)):
+        human = HumanState(hand_pos[k], hand_vel[k])
+        lc = link_constraints(chain_frames(model, q[k]), human, sc.safety_params, T_r, pfl)
+        if np.any(lc.rows @ u[k] > lc.v_max + harness.SPEED_TOLERANCE):
+            over.append(k)
+    return np.array(over, dtype=int)
+
+
+def test_unscaled_command_near_the_hand_counts_every_violating_cycle(monkeypatch):
+    # every golden episode has 0 violations; with the scaling switched off the
+    # arm reaches the resting hand at full speed, and the count must match a recount
+    monkeypatch.setattr(harness, "optimal_alpha", lambda *args: ScalingResult(1.0, "box", True))
+    res = run_handover(quick_scenario())
+    over = violating_cycles(res)
+    assert res.metrics.safety_violations > 0
+    assert res.metrics.safety_violations == len(over)
+    # no violation where the fastest logged link speed stays under the lowest logged limit
+    cols = res.log.columns
+    directed_max = res.log.data[:, cols.index("directed_max")]
+    v_limit = res.log.data[:, cols.index("v_limit")]
+    assert (directed_max[over] > v_limit[over] + harness.SPEED_TOLERANCE).all()
+
+
+@st.composite
+def short_scenarios(draw):
+    """Valid short episodes around the default handover: any control rate in
+    [250, 1000] Hz, non-zero separation margins, either controller, an
+    optional reach-in hand motion and disturbance pulse."""
+    hand = np.asarray(Scenario().handover_hand_pose) + draw(st.tuples(*[st.floats(-0.08, 0.08)] * 3))
+    plan = draw(st.floats(0.6, 1.2))
+    engagement = plan + draw(st.floats(0.0, 0.4))
+    motion = ()
+    if draw(st.booleans()):
+        start = hand + draw(st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+        motion = ((0.0, *start), (draw(st.floats(0.2, engagement)), *hand))
+    pulses = draw(st.lists(st.tuples(st.floats(0.0, engagement), st.floats(-5.0, 5.0), st.floats(0.02, 0.3)),
+                           max_size=1))
+    margin = st.floats(0.001, 0.05)
+    return Scenario(
+        controller=draw(st.sampled_from(["admittance", "pd"])),
+        release="threshold",
+        control_rate=draw(st.floats(250.0, 1000.0)),
+        object_mass=draw(st.floats(0.3, 2.0)),
+        handover_hand_pose=tuple(hand),
+        hand_motion=motion,
+        disturbances=tuple(pulses),
+        plan_duration=plan,
+        receiver_engagement_time=engagement,
+        release_timeout=draw(st.floats(0.05, 0.3)),
+        retreat_duration=draw(st.floats(0.0, 0.4)),
+        episode_tail=0.05,
+        safety={"C": draw(margin), "Z_d": draw(margin), "Z_r": draw(margin)},
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(sc=short_scenarios())
+def test_short_scenarios_log_finite_scaled_cycles(sc):
+    res = run_handover(sc)
+    cols, data = res.log.columns, res.log.data
+    assert np.isfinite(np.delete(data, cols.index("det_out"), axis=1)).all()
+    alpha = data[:, cols.index("alpha")]
+    assert ((alpha >= 0.0) & (alpha <= 1.0)).all()
+    # a violation is only allowed where the scaling could not satisfy its rows
+    over = violating_cycles(res)
+    assert res.metrics.safety_violations == len(over)
+    assert (data[over, cols.index("feasible")] == 0.0).all()
 
 
 def test_threshold_episode_success_and_outcome_fields():

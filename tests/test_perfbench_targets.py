@@ -4,9 +4,10 @@ perfbench/bench.py installs span wrappers on (owner, attribute) pairs such as
 ``handover_sim.harness.transform_wrench``, the name the harness looks up, and
 times a control cycle as the interval between two calls of
 ``harness.advance_parameter``. A refactor that drops one of those imports,
-stops calling a traced name through it, or calls ``advance_parameter`` other
-than once per cycle breaks only the benchmark, whose own tests are not part
-of this suite. These tests read perfbench/ and change nothing under it.
+stops calling a traced name through it, or calls ``advance_parameter``,
+``link_constraints`` or ``optimal_alpha`` other than once per cycle breaks
+only the benchmark, whose own tests are not part of this suite. These tests
+read perfbench/ and change nothing under it.
 """
 
 import importlib
@@ -53,6 +54,16 @@ def test_advance_parameter_runs_once_per_cycle(bench, episodes):
         with bench.call_marks(harness, "advance_parameter") as marks:
             result = harness.run_handover(scenario, network=network)
         assert len(marks) == result.metrics.cycles
+
+
+def test_safety_names_run_once_per_cycle(bench, episodes):
+    # perfbench attributes the scaling to these two calls; work moved out of
+    # them would be timed as harness self-time instead
+    for scenario, network in episodes:
+        with bench.call_marks(harness, "link_constraints") as rows:
+            with bench.call_marks(harness, "optimal_alpha") as alphas:
+                result = harness.run_handover(scenario, network=network)
+        assert len(rows) == len(alphas) == result.metrics.cycles
 
 
 def test_every_traced_name_is_called(bench, episodes):

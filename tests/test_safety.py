@@ -10,6 +10,7 @@ from handover_sim.kinematics import chain_frames, cross_rows, jacobian_from_fram
 from handover_sim.safety import (
     HumanState,
     SafetyParams,
+    ScalingResult,
     apparent_mass,
     link_constraints,
     optimal_alpha,
@@ -52,6 +53,46 @@ def modified_jacobian(model, q: np.ndarray, versor: np.ndarray, link_index: int)
     cols = cross_rows(axes[:link_index], point - origins[:link_index])
     row[:link_index] = cols @ versor
     return row
+
+
+_TAGS = ("iso-limit", "joint-velocity", "joint-acceleration")
+
+
+def reference_optimal_alpha(q_dot_adm, q_dot_current, per_link_rows, v_max_per_link, q_dot_max, q_ddot_max, T_r):
+    """The vectorised scaling that optimal_alpha's one pass replaced, as an
+    oracle: every row's bound on alpha at once, in the same stacking order,
+    then arg-min/max (the first row of a tie) for the tightest of each side."""
+    q_dot_adm = np.asarray(q_dot_adm, dtype=float).ravel()
+    q_dot_current = np.asarray(q_dot_current, dtype=float).ravel()
+    rows = np.atleast_2d(np.asarray(per_link_rows, dtype=float))
+    v_max = np.asarray(v_max_per_link, dtype=float).ravel()
+    rate_step = T_r * np.asarray(q_ddot_max, dtype=float)
+
+    neg_adm = -q_dot_adm
+    coeff = np.concatenate((rows @ q_dot_adm, q_dot_adm, neg_adm, q_dot_adm, neg_adm))
+    bound = np.concatenate((v_max, q_dot_max, q_dot_max, q_dot_current + rate_step, -(q_dot_current - rate_step)))
+    n, m = len(q_dot_adm), len(v_max)
+    tags = np.repeat([0, 1, 2], [m, 2 * n, 2 * n])
+    if np.isnan(coeff).any() or np.isnan(bound).any():
+        raise ValueError("scaling constraints must not be NaN")
+
+    pos = coeff > 1e-12
+    neg = coeff < -1e-12
+    hard_infeasible = bool((bound[~(pos | neg)] < -1e-12).any())
+    ubs = np.divide(bound, coeff, out=np.full(len(coeff), np.inf), where=pos)
+    lbs = np.divide(bound, coeff, out=np.full(len(coeff), -np.inf), where=neg)
+    lo, lo_tag, hi, hi_tag = 0.0, "box", 1.0, "box"
+    k = int(ubs.argmin())
+    if ubs[k] < hi:
+        hi, hi_tag = float(ubs[k]), _TAGS[tags[k]]
+    hi_actuator = min(1.0, float(ubs[m : m + 2 * n].min()))
+    k = int(lbs.argmax())
+    if lbs[k] > lo:
+        lo, lo_tag = float(lbs[k]), _TAGS[tags[k]]
+
+    if not hard_infeasible and lo <= hi + 1e-12:
+        return ScalingResult(alpha=min(max(hi, 0.0), 1.0), binding_constraint=hi_tag, feasible=True)
+    return ScalingResult(alpha=min(max(lo, 0.0), hi_actuator), binding_constraint=lo_tag, feasible=False)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +432,68 @@ def test_alpha_properties_on_arbitrary_instances(inst):
         assert res.binding_constraint in ("box", "iso-limit", "joint-velocity", "joint-acceleration")
 
 
+@st.composite
+def _oracle_instances(draw):
+    """Scaling problems for the reference oracle: list or array inputs, 1-18
+    link rows, coefficients and link limits at and around the 1e-12 cut
+    (hard-infeasible on a zero row with a negative limit), braking the
+    acceleration box cannot reach, and link rows that read one joint's
+    command (+-e_j) with a box row's bound, so that a ratio ties across
+    groups. The other link rows are tight or, so that the box and the
+    tie rows bind, loose. q_dot_max stays positive, as every arm's is."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 18))
+    cut = st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12])
+    limit = draw(st.sampled_from([st.floats(-0.5, 3.0), st.floats(10.0, 1e3)]))
+
+    def vec(shape, elements):
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    inst = dict(
+        q_dot_adm=vec(n, st.floats(-3.0, 3.0) | cut), q_dot_current=vec(n, st.floats(-3.0, 3.0)),
+        per_link_rows=vec((m, n), st.floats(-2.0, 2.0) | cut), v_max_per_link=vec(m, limit),
+        q_dot_max=vec(n, st.floats(0.1, 3.0)), q_ddot_max=vec(n, st.floats(0.5, 20.0)),
+        T_r=draw(st.floats(1e-4, 0.05)),
+    )
+    if draw(st.booleans()):    # the arm already moves along the command, so the box is often feasible
+        inst["q_dot_current"] = draw(st.floats(0.0, 1.0)) * inst["q_dot_adm"] + vec(n, st.floats(-0.05, 0.05))
+    rows, v_max = inst["per_link_rows"], inst["v_max_per_link"]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True)):
+        j = draw(st.integers(0, n - 1))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        rows[i] = 0.0
+        rows[i, j] = sign
+        step = inst["T_r"] * inst["q_ddot_max"][j]
+        now = inst["q_dot_current"][j]
+        if abs(inst["q_dot_adm"][j]) > 2e-12:
+            v_max[i] = draw(st.sampled_from([inst["q_dot_max"][j], now + step if sign > 0 else -(now - step)]))
+        else:    # a row at the cut gets a limit at the cut
+            v_max[i] = draw(st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12]))
+    if draw(st.booleans()):
+        inst = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inst.items()}
+    return inst
+
+
+@settings(max_examples=500, deadline=None)
+@given(inst=_oracle_instances())
+def test_alpha_equals_reference_bit_for_bit(inst):
+    got, want = optimal_alpha(**inst), reference_optimal_alpha(**inst)
+    assert (got.binding_constraint, got.feasible) == (want.binding_constraint, want.feasible)
+    assert got.alpha == want.alpha and math.copysign(1.0, got.alpha) == math.copysign(1.0, want.alpha)
+
+
+def test_alpha_tie_between_groups_names_the_first_row():
+    # the link row and the velocity box both bound alpha by 1.5 / 2 from above
+    tie = optimal_alpha(q_dot_adm=[2.0], q_dot_current=[2.0], per_link_rows=[[1.0]], v_max_per_link=[1.5],
+                        q_dot_max=[1.5], q_ddot_max=[1e4], T_r=0.002)
+    assert tie == (0.75, "iso-limit", True)
+    # braking: the link row and the acceleration box both bound it by 0.99
+    # from below, above a second link row's 0.1
+    inst = dict(q_dot_adm=[-1.0], q_dot_current=[-1.0], per_link_rows=[[1.0], [-1.0]],
+                v_max_per_link=[-1.0 + 0.002 * 5.0, 0.1], q_dot_max=[3.0], q_ddot_max=[5.0], T_r=0.002)
+    assert optimal_alpha(**inst) == reference_optimal_alpha(**inst) == (0.99, "iso-limit", False)
+
+
 def test_alpha_monotone_in_limits():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -452,16 +555,21 @@ def test_alpha_less_conservative_than_single_paradigm():
         assert combined >= pfl_alpha - 1e-12
 
 
-@pytest.mark.parametrize("q_dot_adm", [np.ones(6), -np.ones(6)])
-def test_optimal_alpha_rejects_nan_constraints(q_dot_adm):
-    # a NaN limit is picked by arg-min/max but loses every comparison, so
-    # unchecked it dropped out and left alpha at 1 or the acceleration bound
-    v_max = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
-    args = (np.zeros(6), np.eye(6), v_max, np.full(6, 2.0), np.full(6, 10.0), 0.002)
-    with pytest.raises(ValueError, match="NaN"):
-        optimal_alpha(q_dot_adm, *args)
-    with pytest.raises(ValueError, match="NaN"):
-        optimal_alpha(np.where(np.arange(6) == 2, np.nan, q_dot_adm), *args[:2], np.ones(6), *args[3:])
+@pytest.mark.parametrize("name", ["q_dot_adm", "q_dot_current", "per_link_rows", "v_max_per_link",
+                                  "q_dot_max", "q_ddot_max", "T_r"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_optimal_alpha_rejects_a_nan_in_any_input(name, sign):
+    # a NaN limit loses every comparison, so unchecked it would drop out and
+    # leave alpha at 1 or the acceleration bound; the command's sign puts it
+    # on an upper or a lower bound
+    inst = dict(q_dot_adm=np.full(6, sign), q_dot_current=np.zeros(6), per_link_rows=np.eye(6),
+                v_max_per_link=np.ones(6), q_dot_max=np.full(6, 2.0), q_ddot_max=np.full(6, 10.0), T_r=0.002)
+    value = np.array(inst[name], dtype=float)
+    value.flat[-1] = np.nan
+    inst[name] = value if value.ndim else float(value)
+    for scaling in (optimal_alpha, reference_optimal_alpha):
+        with pytest.raises(ValueError, match="NaN"):
+            scaling(**inst)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ interquartile range and a verdict:
 Under the table it prints each side's share of failed operations and every
 run whose ``correct`` is false, and a ``refused`` line when the change fails
 a larger share of operations than the parent or any change run is incorrect.
-A run that exits non-zero is reported with its side, pair and exit code; the
-workload's pairs stop there and the finished ones are summarized. The exit
-status is 1 when a run exited non-zero or a workload was refused, else 0.
+A run that exits non-zero (reported with its side, pair, exit code and the
+last lines of its stderr) or exits 0 without a result object on its last
+line (reported as "malformed output") stops the workload's pairs there, and
+the finished ones are summarized. The exit status is 1 when a run failed in
+either way or a workload was refused, else 0.
 """
 
 from __future__ import annotations
@@ -40,12 +42,20 @@ from pathlib import Path
 import numpy as np
 
 
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
+STDERR_LINES = 5      # of a run that exits non-zero, printed with its report
+
+
 def parse_result(stdout: str) -> dict:
-    """The JSON object on the last non-empty line of a perfbench run's output."""
+    """The JSON object on the last non-empty line of a perfbench run's output;
+    a ValueError if there is none."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("benchmark printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not (isinstance(result, dict) and RESULT_KEYS <= result.keys()):
+        raise ValueError(f"last line is not a result object: {lines[-1][:80]!r}")
+    return result
 
 
 def _value(result: dict, name: str) -> float:
@@ -108,30 +118,36 @@ def failure_report(parent: list[dict], change: list[dict]) -> tuple[list[str], b
     return lines, shares[1] > shares[0] or incorrect > 0
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict | int:
-    """The result of one perfbench run, or its exit code if it exited non-zero."""
+def run_once(checkout: Path, workload: str, seconds: float) -> dict | str:
+    """The result of one perfbench run, or what went wrong with it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    return parse_result(done.stdout) if done.returncode == 0 else done.returncode
+    if done.returncode != 0:
+        tail = done.stderr.splitlines()[-STDERR_LINES:]
+        return "\n    ".join([f"exited with code {done.returncode}", *tail])
+    try:
+        return parse_result(done.stdout)
+    except ValueError as exc:
+        return f"malformed output: {exc}"
 
 
 def bench_workload(args, spec: dict, workload: str) -> bool:
     """Run and summarize the pairs of one workload; True if it passes."""
     seconds, metrics = float(spec["run_seconds"]), spec["end_to_end"]
     parent, change = [], []
-    exited = False
+    stopped = False
     for i in range(args.pairs):
         sides = [("parent", args.parent, parent), ("change", args.change, change)]
         for label, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
             result = run_once(checkout, workload, seconds)
-            if isinstance(result, int):
-                print(f"pair {i + 1}/{args.pairs} {label}: perfbench/run.py exited with code {result}", flush=True)
-                exited = True
+            if isinstance(result, str):
+                print(f"pair {i + 1}/{args.pairs} {label}: perfbench/run.py {result}", flush=True)
+                stopped = True
                 break
             results.append(result)
             print(f"pair {i + 1}/{args.pairs} {label}: "
                   + " ".join(f"{m['name']}={_value(result, m['name']):.4g}" for m in metrics), flush=True)
-        if exited:
+        if stopped:
             break
     pairs = min(len(parent), len(change))   # an unfinished pair is dropped
     parent, change = parent[:pairs], change[:pairs]
@@ -145,7 +161,7 @@ def bench_workload(args, spec: dict, workload: str) -> bool:
               f"{row['wins']:>3}/{row['pairs']:<2} {row['parent_iqr']:>11.3g}  {row['verdict']}")
     lines, refused = failure_report(parent, change)
     print("\n".join(lines) + "\n", flush=True)
-    return not (exited or refused)
+    return not (stopped or refused)
 
 
 def main(argv: list[str] | None = None) -> int:
